@@ -8,20 +8,16 @@ SSIM, BD-rate, and deterministic test clips.
 """
 
 from .first_pass import (
-    BlockStats,
     FrameFirstPassStats,
-    MotionVector,
     SearchConfig,
     analyze_frame,
-    block_search,
-    collect_block_stats,
+    motion_search,
     pad_to_block_grid,
 )
 from .gop_planner import (
     FrameRole,
     GfGroupPlan,
     GroupPlanResult,
-    GroupSegmentation,
     PlanEntry,
     ValidationReport,
     plan_group,
@@ -64,7 +60,6 @@ from .video_io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockStats",
     "FrameFirstPassStats",
     "FramePlane",
     "FrameRole",
@@ -72,8 +67,6 @@ __all__ = [
     "GfGroupPlan",
     "GroupPlanResult",
     "GroupRecord",
-    "GroupSegmentation",
-    "MotionVector",
     "PlanEntry",
     "QualityReport",
     "RdCurve",
@@ -86,9 +79,7 @@ __all__ = [
     "Y4mError",
     "analyze_frame",
     "bd_rate",
-    "block_search",
     "classify_stillness",
-    "collect_block_stats",
     "compute_group_metrics",
     "dump_group_metrics",
     "dump_metric_histograms",
@@ -97,6 +88,7 @@ __all__ = [
     "load_y4m",
     "load_yuv",
     "metric_histograms",
+    "motion_search",
     "pad_to_block_grid",
     "plan_group",
     "plan_sequence",

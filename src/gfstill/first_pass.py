@@ -10,12 +10,10 @@ frames yields a negative dx.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .video_io import FramePlane
+from .video_io import Plane, _as_samples
 
 BLOCK_SIZES = (8, 16, 32)
 SEARCH_KINDS = ("exhaustive", "diamond")
@@ -23,11 +21,6 @@ SEARCH_KINDS = ("exhaustive", "diamond")
 # Large/small diamond steps, centre excluded.
 _LDSP = ((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1))
 _SDSP = ((0, -1), (1, 0), (0, 1), (-1, 0))
-
-
-class MotionVector(NamedTuple):
-    dx: int
-    dy: int
 
 
 @dataclass(frozen=True)
@@ -46,17 +39,6 @@ class SearchConfig:
 
 
 @dataclass
-class BlockStats:
-    block_col: int
-    block_row: int
-    best_mv: MotionVector
-    best_sse: int
-    zero_mv_sse: int
-    intra_proxy_sse: float
-    is_inter: bool
-
-
-@dataclass
 class FrameFirstPassStats:
     frame_index: int
     pcnt_zero_motion: float
@@ -64,15 +46,6 @@ class FrameFirstPassStats:
     zero_mv_sse_stdev: float
     block_count: int
     inter_count: int
-
-
-Plane = Union[FramePlane, np.ndarray]
-
-
-def _as_samples(plane: Plane) -> np.ndarray:
-    if isinstance(plane, FramePlane):
-        return plane.samples
-    return np.asarray(plane, dtype=np.uint8)
 
 
 def pad_to_block_grid(samples: np.ndarray, block_size: int) -> np.ndarray:
@@ -93,68 +66,86 @@ def _sse(cur_block: np.ndarray, ref_window: np.ndarray) -> int:
     return int(np.einsum("ij,ij->", diff, diff))
 
 
-def block_search(
-    cur: Plane,
-    ref: Plane,
-    block_row: int,
-    block_col: int,
-    cfg: SearchConfig | None = None,
-) -> tuple[MotionVector, int, int]:
-    """Search the reference for the best integer-pel match of one block.
+def _nonzero_candidates(ry: int, rx: int):
+    """Every (dx, dy) != (0, 0) with |dy| <= ry and |dx| <= rx, in
+    tie-break order: ascending |dx|+|dy|, then dy, then dx."""
+    for d in range(1, ry + rx + 1):
+        for dy in range(-min(ry, d), min(ry, d) + 1):
+            m = d - abs(dy)
+            if m <= rx:
+                yield from ((-m, dy), (m, dy)) if m else ((0, dy),)
 
-    Candidates whose window would leave the (padded) frame are skipped; the
-    zero vector is always a candidate, so best_sse <= zero_mv_sse.  Ties are
-    broken by lower SSE, then smaller |dx|+|dy|, then smaller dy, then
-    smaller dx, which makes the result order-independent.
 
-    Returns (best_mv, best_sse, zero_mv_sse).
+def motion_search(
+    cur: Plane, ref: Plane, cfg: SearchConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Search the reference for the best integer-pel match of every block.
+
+    Both frames are edge-padded to the block grid.  Candidates whose window
+    would leave the padded frame are skipped; the zero vector is always a
+    candidate, so best_sse <= zero_mv_sse.  Ties are broken by lower SSE,
+    then smaller |dx|+|dy|, then smaller dy, then smaller dx, which makes
+    the result order-independent.
+
+    Returns int64 arrays (mv, best_sse, zero_mv_sse) of shapes
+    (rows, cols, 2), (rows, cols) and (rows, cols); mv[..., 0] is dx and
+    mv[..., 1] is dy.
     """
     cfg = cfg or SearchConfig()
-    bs = cfg.block_size
+    bs, r = cfg.block_size, cfg.search_range
     cur_s = pad_to_block_grid(_as_samples(cur), bs)
     ref_s = pad_to_block_grid(_as_samples(ref), bs)
     if cur_s.shape != ref_s.shape:
         raise ValueError("current and reference frames differ in size")
-
-    y0, x0 = block_row * bs, block_col * bs
     h, w = cur_s.shape
-    if not (0 <= y0 <= h - bs and 0 <= x0 <= w - bs):
-        raise ValueError(f"block origin ({block_row}, {block_col}) outside frame")
-    cur_block = cur_s[y0 : y0 + bs, x0 : x0 + bs].astype(np.int32)
+    rows, cols = h // bs, w // bs
+    mv = np.zeros((rows, cols, 2), np.int64)
 
     if cfg.search_kind == "diamond":
-        return _diamond_search(cur_block, ref_s, y0, x0, cfg)
-    return _exhaustive_search(cur_block, ref_s, y0, x0, cfg)
+        best = np.empty((rows, cols), np.int64)
+        zero = np.empty_like(best)
+        for by, bx in np.ndindex(rows, cols):
+            y0, x0 = by * bs, bx * bs
+            block = cur_s[y0 : y0 + bs, x0 : x0 + bs].astype(np.int32)
+            mv[by, bx], best[by, bx], zero[by, bx] = _diamond_search(
+                block, ref_s, y0, x0, cfg
+            )
+        return mv, best, zero
 
+    # C order keeps each difference below contiguous, so its reshapes are views
+    cur_i = cur_s.astype(np.int32, order="C")
+    ref_i = ref_s.astype(np.int32, order="C")
 
-def _exhaustive_search(
-    cur_block: np.ndarray, ref_s: np.ndarray, y0: int, x0: int, cfg: SearchConfig
-) -> tuple[MotionVector, int, int]:
-    bs, r = cfg.block_size, cfg.search_range
-    h, w = ref_s.shape
-    lo_dy, hi_dy = max(-r, -y0), min(r, h - bs - y0)
-    lo_dx, hi_dx = max(-r, -x0), min(r, w - bs - x0)
+    def block_sse(dx: int, dy: int, b0: int, b1: int, c0: int, c1: int):
+        diff = cur_i[b0 * bs : b1 * bs, c0 * bs : c1 * bs] - ref_i[
+            b0 * bs + dy : b1 * bs + dy, c0 * bs + dx : c1 * bs + dx
+        ]
+        diff *= diff
+        # 32x32 blocks peak below 2**31 so int32 is safe; summing rows then
+        # columns is about twice as fast as one sum over axes (1, 3)
+        col_sums = diff.reshape(b1 - b0, bs, -1).sum(axis=1, dtype=np.int32)
+        return col_sums.reshape(b1 - b0, c1 - c0, bs).sum(axis=2, dtype=np.int32)
 
-    region = ref_s[y0 + lo_dy : y0 + hi_dy + bs, x0 + lo_dx : x0 + hi_dx + bs]
-    windows = sliding_window_view(region, (bs, bs)).astype(np.int32)
-    diff = windows - cur_block
-    # per-candidate SSE; 32x32 blocks peak below 2**31 so int32 is safe
-    sse = np.einsum("ijkl,ijkl->ij", diff, diff)
-
-    dys, dxs = np.meshgrid(
-        np.arange(lo_dy, hi_dy + 1), np.arange(lo_dx, hi_dx + 1), indexing="ij"
-    )
-    manhattan = np.abs(dxs) + np.abs(dys)
-    order = np.lexsort((dxs.ravel(), dys.ravel(), manhattan.ravel(), sse.ravel()))
-    best = order[0]
-    best_mv = MotionVector(int(dxs.ravel()[best]), int(dys.ravel()[best]))
-    zero_mv_sse = int(sse[-lo_dy, -lo_dx])
-    return best_mv, int(sse.ravel()[best]), zero_mv_sse
+    zero = block_sse(0, 0, 0, rows, 0, cols).astype(np.int64)
+    best = zero.copy()
+    # visiting in tie-break order and moving only on a strictly lower SSE
+    # keeps the first of equally good candidates; no window reaches further
+    # than the padded frame, whatever the range
+    for dx, dy in _nonzero_candidates(min(r, h - bs), min(r, w - bs)):
+        # the blocks whose window at (dx, dy) stays inside the padded frame
+        b0, b1 = max(0, -(dy // bs)), min(rows, (h - dy) // bs)
+        c0, c1 = max(0, -(dx // bs)), min(cols, (w - dx) // bs)
+        sse = block_sse(dx, dy, b0, b1, c0, c1)
+        sub_best = best[b0:b1, c0:c1]
+        better = sse < sub_best
+        sub_best[better] = sse[better]
+        mv[b0:b1, c0:c1][better] = dx, dy
+    return mv, best, zero
 
 
 def _diamond_search(
     cur_block: np.ndarray, ref_s: np.ndarray, y0: int, x0: int, cfg: SearchConfig
-) -> tuple[MotionVector, int, int]:
+) -> tuple[tuple[int, int], int, int]:
     bs, r = cfg.block_size, cfg.search_range
     h, w = ref_s.shape
     cache: dict[tuple[int, int], int] = {}
@@ -191,42 +182,7 @@ def _diamond_search(
             break
         cx, cy = nx, ny
     cx, cy = pick([(cx, cy)] + [(cx + ox, cy + oy) for ox, oy in _SDSP])
-    return MotionVector(cx, cy), cache[(cx, cy)], zero_mv_sse
-
-
-def collect_block_stats(
-    cur: Plane, prev: Plane, cfg: SearchConfig | None = None
-) -> list[BlockStats]:
-    """Run the motion search over the whole block grid of one frame pair."""
-    cfg = cfg or SearchConfig()
-    bs = cfg.block_size
-    cur_s = pad_to_block_grid(_as_samples(cur), bs)
-    prev_s = pad_to_block_grid(_as_samples(prev), bs)
-    if cur_s.shape != prev_s.shape:
-        raise ValueError("current and previous frames differ in size")
-
-    rows, cols = cur_s.shape[0] // bs, cur_s.shape[1] // bs
-    out: list[BlockStats] = []
-    for by in range(rows):
-        for bx in range(cols):
-            mv, best_sse, zero_sse = block_search(cur_s, prev_s, by, bx, cfg)
-            block = cur_s[by * bs : (by + 1) * bs, bx * bs : (bx + 1) * bs]
-            block = block.astype(np.float64)
-            intra_proxy = float(((block - block.mean()) ** 2).sum())
-            # ties count as inter, mirroring a cheap intra-vs-inter decision
-            is_inter = best_sse <= intra_proxy
-            out.append(
-                BlockStats(
-                    block_col=bx,
-                    block_row=by,
-                    best_mv=mv,
-                    best_sse=best_sse,
-                    zero_mv_sse=zero_sse,
-                    intra_proxy_sse=intra_proxy,
-                    is_inter=is_inter,
-                )
-            )
-    return out
+    return (cx, cy), cache[(cx, cy)], zero_mv_sse
 
 
 def analyze_frame(
@@ -242,17 +198,26 @@ def analyze_frame(
     spread is the population standard deviation of the zero-vector SSE
     over all blocks, padded blocks included.
     """
-    blocks = collect_block_stats(cur, prev, cfg)
-    inter = [b for b in blocks if b.is_inter]
-    zero_inter = sum(1 for b in inter if b.best_mv == MotionVector(0, 0))
-    pcnt = zero_inter / len(inter) if inter else 0.0
-    frame_sse = sum(b.best_sse for b in blocks)
-    stdev = float(np.std(np.array([b.zero_mv_sse for b in blocks], dtype=np.float64)))
+    cfg = cfg or SearchConfig()
+    bs = cfg.block_size
+    mv, best, zero = motion_search(cur, prev, cfg)
+    rows, cols = best.shape
+    blocks = pad_to_block_grid(_as_samples(cur), bs).astype(np.int64)
+    blocks = blocks.reshape(rows, bs, cols, bs)
+    n = bs * bs
+    total = blocks.sum(axis=(1, 3))
+    total_sq = (blocks * blocks).sum(axis=(1, 3))
+    # a block is inter when best_sse <= its intra proxy sum((x - mean)^2),
+    # compared exactly as n * best_sse <= n * sum(x^2) - sum(x)^2; ties
+    # count as inter, mirroring a cheap intra-vs-inter decision
+    inter = n * best <= n * total_sq - total * total
+    inter_count = int(inter.sum())
+    zero_inter = int((inter & ~mv.any(axis=2)).sum())
     return FrameFirstPassStats(
         frame_index=frame_index,
-        pcnt_zero_motion=pcnt,
-        frame_sse=frame_sse,
-        zero_mv_sse_stdev=stdev,
-        block_count=len(blocks),
-        inter_count=len(inter),
+        pcnt_zero_motion=zero_inter / inter_count if inter_count else 0.0,
+        frame_sse=int(best.sum()),
+        zero_mv_sse_stdev=float(np.std(zero.ravel().astype(np.float64))),
+        block_count=best.size,
+        inter_count=inter_count,
     )

@@ -72,13 +72,6 @@ class GfGroupPlan:
 
 
 @dataclass
-class GroupSegmentation:
-    """(first display index, interval) per group, in display order."""
-
-    boundaries: list[tuple[int, int]]
-
-
-@dataclass
 class PlanViolation:
     check: str
     message: str
@@ -106,8 +99,10 @@ def segment_groups(
     total_frames: int,
     target_interval: int = MAX_GROUP_INTERVAL,
     key_interval: int | None = None,
-) -> GroupSegmentation:
+) -> list[tuple[int, int]]:
     """Greedily partition a sequence into groups after its keyframe.
+
+    Returns (first display index, interval) per group, in display order.
 
     Frame 0 (and every key_interval-th frame, when given) is a keyframe
     anchor owned by no group.  A trailing remainder shorter than the
@@ -132,7 +127,7 @@ def segment_groups(
     for i, kf in enumerate(keyframes):
         segment_end = keyframes[i + 1] if i + 1 < len(keyframes) else total_frames
         boundaries.extend(_segment_run(kf + 1, segment_end - kf - 1, target_interval))
-    return GroupSegmentation(boundaries)
+    return boundaries
 
 
 def _segment_run(start: int, n_frames: int, target: int) -> list[tuple[int, int]]:
@@ -425,10 +420,10 @@ def plan_sequence(
     first frame of a group against the last frame before it.
     """
     cfg = cfg or SearchConfig()
-    segmentation = segment_groups(len(sequence.frames), target_interval, key_interval)
+    groups = segment_groups(len(sequence.frames), target_interval, key_interval)
     pixels = sequence.width * sequence.height
     results = []
-    for gid, (start, interval) in enumerate(segmentation.boundaries, start=1):
+    for gid, (start, interval) in enumerate(groups, start=1):
         stats = [
             analyze_frame(
                 sequence.frames[d],

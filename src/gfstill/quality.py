@@ -15,7 +15,7 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 from scipy.signal import convolve2d
 
-from .video_io import FramePlane
+from .video_io import Plane, _as_samples
 
 PEAK = 255.0
 PSNR_CAP_DB = 100.0
@@ -26,15 +26,6 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 BD_FIT_DEGREE = 3
-
-Plane = Union[FramePlane, np.ndarray]
-
-
-def _as_samples(plane: Plane) -> np.ndarray:
-    if isinstance(plane, FramePlane):
-        return plane.samples
-    return np.asarray(plane, dtype=np.uint8)
-
 
 def _check_pair(a: Plane, b: Plane, minimum: int) -> tuple[np.ndarray, np.ndarray]:
     sa, sb = _as_samples(a), _as_samples(b)

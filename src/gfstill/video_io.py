@@ -103,6 +103,15 @@ class VideoSequence:
         return self.frame_rate[0] / self.frame_rate[1]
 
 
+Plane = Union[FramePlane, np.ndarray]
+
+
+def _as_samples(plane: Plane) -> np.ndarray:
+    if isinstance(plane, FramePlane):
+        return plane.samples
+    return np.asarray(plane, dtype=np.uint8)
+
+
 Source = Union[str, Path, bytes, BinaryIO]
 
 
@@ -207,6 +216,11 @@ def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> Vi
     """Read headerless planar YUV given externally supplied geometry."""
     if chroma not in ("420", "444"):
         raise ValueError(f"unsupported raw chroma format {chroma!r}")
+    if width < MIN_DIMENSION or height < MIN_DIMENSION:
+        raise ValueError(
+            f"raw frames must be at least {MIN_DIMENSION}x{MIN_DIMENSION}, "
+            f"got {width}x{height}"
+        )
     data, name = _read_all(source)
     cw, ch = _chroma_dims(width, height, chroma)
     frame_size = width * height + 2 * cw * ch

@@ -25,9 +25,9 @@ def brute_force_block_search(
 ) -> tuple[tuple[int, int], int, int]:
     """Full-window scan, one candidate at a time.
 
-    Same contract as gfstill.first_pass.block_search (padded frames, skip
-    out-of-bounds windows, tie-break on SSE then |dx|+|dy| then dy then dx)
-    but written as the obvious quadruple loop.
+    Same contract as one block of gfstill.first_pass.motion_search (padded
+    frames, skip out-of-bounds windows, tie-break on SSE then |dx|+|dy| then
+    dy then dx) but written as the obvious quadruple loop.
     """
     h, w = cur.shape
     y0, x0 = block_row * block_size, block_col * block_size

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gfstill.cli import main
-from gfstill.first_pass import SearchConfig, block_search
+from gfstill.first_pass import SearchConfig, motion_search
 from gfstill.gop_planner import (
     MULTILAYER,
     REF_BUFFER_SLOTS,
@@ -50,12 +50,13 @@ def test_c1_block_search_matches_brute_force_oracle(rng):
     for _ in range(20):
         cur = rng.integers(0, 256, size=(48, 64), dtype=np.uint8)
         ref = rng.integers(0, 256, size=(48, 64), dtype=np.uint8)
+        mv, sse, _ = motion_search(cur, ref, cfg)
+        assert sse.shape == (48 // 16, 64 // 16)
         for by in range(48 // 16):
             for bx in range(64 // 16):
-                mv, sse, _ = block_search(cur, ref, by, bx, cfg)
                 exp_mv, exp_sse, _ = brute_force_block_search(cur, ref, by, bx)
-                assert (mv.dx, mv.dy) == exp_mv  # exact
-                assert sse == exp_sse  # exact
+                assert tuple(mv[by, bx]) == exp_mv  # exact
+                assert sse[by, bx] == exp_sse  # exact
     assert time.perf_counter() - start < 10.0
 
 

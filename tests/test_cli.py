@@ -133,6 +133,18 @@ class TestAnalyzeCommand:
         assert run("analyze", str(raw), "--width", "32", "--height", "32") == 0
         assert capsys.readouterr().out.splitlines()[1].endswith("still")
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (-16, 16), (8, 8)])
+    def test_raw_geometry_below_minimum_is_input_error(
+        self, tmp_path, capsys, width, height
+    ):
+        raw = tmp_path / "clip.yuv"
+        raw.write_bytes(b"\x00" * 384)
+        assert run("analyze", str(raw), "--width", str(width),
+                   "--height", str(height)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("gfstill: ")
+        assert f"got {width}x{height}" in err and "Traceback" not in err
+
     def test_bad_target_interval_is_usage_error(self, static_clip):
         assert run("analyze", static_clip, "--target-interval", "3") == 1
         assert run("analyze", static_clip, "--target-interval", "17") == 1

@@ -2,14 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_block_search, random_plane
 from gfstill.first_pass import (
-    MotionVector,
     SearchConfig,
     analyze_frame,
-    block_search,
-    collect_block_stats,
+    motion_search,
     pad_to_block_grid,
 )
 from gfstill.synth import SynthSpec, generate
@@ -19,14 +19,26 @@ def _textured(width=64, height=48, seed=11):
     return generate(SynthSpec("static", width, height, 2, seed=seed)).frames[0]
 
 
+def _assert_matches_oracle(cur, ref, cfg):
+    """Every block of motion_search equals the brute-force scan exactly."""
+    mv, best, zero = motion_search(cur, ref, cfg)
+    cur_p = pad_to_block_grid(np.asarray(cur), cfg.block_size)
+    ref_p = pad_to_block_grid(np.asarray(ref), cfg.block_size)
+    rows, cols = best.shape
+    assert (rows * cfg.block_size, cols * cfg.block_size) == cur_p.shape
+    for by, bx in np.ndindex(rows, cols):
+        want = brute_force_block_search(
+            cur_p, ref_p, by, bx, cfg.block_size, cfg.search_range
+        )
+        assert (tuple(mv[by, bx]), best[by, bx], zero[by, bx]) == want
+
+
 class TestBlockSearch:
     def test_identical_frames_find_zero_vector(self):
         plane = _textured()
-        for by in range(3):
-            for bx in range(4):
-                mv, best, zero = block_search(plane, plane, by, bx)
-                assert mv == MotionVector(0, 0)
-                assert best == 0 and zero == 0
+        mv, best, zero = motion_search(plane, plane)
+        assert mv.shape == (3, 4, 2) and best.shape == zero.shape == (3, 4)
+        assert not mv.any() and not best.any() and not zero.any()
 
     def test_known_horizontal_shift_recovered(self):
         base = _textured(96, 48).samples
@@ -34,90 +46,140 @@ class TestBlockSearch:
         shifted[:, 2:] = base[:, :-2]
         shifted[:, :2] = base[:, :1]
         # content moved right by 2, so the predictor samples 2 px left
-        for bx in range(1, 5):
-            mv, best, zero = block_search(shifted, base, 1, bx)
-            assert mv == MotionVector(-2, 0)
-            assert best == 0
-            assert zero > 0
+        mv, best, zero = motion_search(shifted, base)
+        assert (mv[1, 1:5] == (-2, 0)).all()
+        assert not best[1, 1:5].any()
+        assert (zero[1, 1:5] > 0).all()
 
     def test_matches_brute_force_oracle(self, rng):
-        cfg = SearchConfig()
         for _ in range(5):
-            cur = random_plane(rng, 64, 48)
-            ref = random_plane(rng, 64, 48)
-            for by in range(3):
-                for bx in range(4):
-                    got = block_search(cur, ref, by, bx, cfg)
-                    want_mv, want_sse, want_zero = brute_force_block_search(
-                        cur.samples, ref.samples, by, bx
-                    )
-                    assert got[0] == MotionVector(*want_mv)
-                    assert got[1] == want_sse
-                    assert got[2] == want_zero
+            cur = random_plane(rng, 64, 48).samples
+            ref = random_plane(rng, 64, 48).samples
+            _assert_matches_oracle(cur, ref, SearchConfig())
 
     def test_oracle_agreement_other_configs(self, rng):
         for bs, r in ((8, 4), (32, 8), (16, 3)):
-            cfg = SearchConfig(block_size=bs, search_range=r)
-            cur = random_plane(rng, 64, 64)
-            ref = random_plane(rng, 64, 64)
-            for by in range(64 // bs):
-                for bx in range(64 // bs):
-                    got = block_search(cur, ref, by, bx, cfg)
-                    want_mv, want_sse, want_zero = brute_force_block_search(
-                        cur.samples, ref.samples, by, bx, bs, r
-                    )
-                    assert (got[0], got[1], got[2]) == (
-                        MotionVector(*want_mv),
-                        want_sse,
-                        want_zero,
-                    )
+            cur = random_plane(rng, 64, 64).samples
+            ref = random_plane(rng, 64, 64).samples
+            _assert_matches_oracle(cur, ref, SearchConfig(bs, r))
 
     def test_zero_vector_is_always_a_candidate(self, rng):
         cur = random_plane(rng, 64, 48)
         ref = random_plane(rng, 64, 48)
-        for by in range(3):
-            for bx in range(4):
-                _, best, zero = block_search(cur, ref, by, bx)
-                assert best <= zero
+        _, best, zero = motion_search(cur, ref)
+        assert (best <= zero).all()
 
     def test_constant_frames_break_ties_toward_zero(self):
         flat = np.full((48, 64), 77, np.uint8)
-        mv, best, zero = block_search(flat, flat, 1, 1)
-        assert mv == MotionVector(0, 0)
-        assert best == zero == 0
-
-    def test_block_origin_validated(self):
-        plane = _textured()
-        with pytest.raises(ValueError):
-            block_search(plane, plane, 0, 99)
+        mv, best, zero = motion_search(flat, flat)
+        assert not mv.any()
+        assert not best.any() and not zero.any()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            block_search(_textured(64, 48), _textured(80, 48), 0, 0)
+            motion_search(_textured(64, 48), _textured(80, 48))
+
+
+def _frames(content, height, width, seed):
+    rng = np.random.default_rng(seed)
+    shape = (height, width)
+    if content == "random":
+        return rng.integers(0, 256, (2, *shape), dtype=np.uint8)
+    if content == "extremes":
+        frames = np.zeros((2, *shape), np.uint8)
+        frames[rng.integers(2)] = 255
+        return frames
+    if content == "binary":
+        # sparse 255s leave many windows with equal SSE: the tie-break decides
+        density = rng.choice((0.5, 0.1, 0.02))
+        return ((rng.random((2, *shape)) < density) * 255).astype(np.uint8)
+    levels = rng.integers(0, 256, 2)
+    return np.stack([np.full(shape, v, np.uint8) for v in levels])
+
+
+_frame_cases = st.tuples(
+    st.sampled_from(["random", "extremes", "binary", "constant"]),
+    st.integers(16, 80),
+    st.integers(16, 80),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestOracleProperty:
+    @given(
+        case=_frame_cases,
+        block_size=st.sampled_from((8, 16, 32)),
+        search_range=st.integers(1, 40),
+        aligned=st.booleans(),
+    )
+    # a tie between two nonzero vectors, and a padded frame at the widest range
+    @example(
+        case=("binary", 24, 24, 2), block_size=8, search_range=2, aligned=False
+    )
+    @example(
+        case=("extremes", 50, 70, 0), block_size=32, search_range=40, aligned=False
+    )
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    def test_every_block_matches_oracle(
+        self, kind, case, block_size, search_range, aligned
+    ):
+        content, height, width, seed = case
+        if aligned:
+            height = max(block_size, height - height % block_size)
+            width = max(block_size, width - width % block_size)
+        cur, ref = _frames(content, height, width, seed)
+        cfg = SearchConfig(block_size, search_range, kind)
+        if kind == "exhaustive":
+            _assert_matches_oracle(cur, ref, cfg)
+            return
+        # diamond is a heuristic: its score is the SSE of the vector it
+        # reports, never better than the exhaustive optimum, never worse
+        # than the zero vector
+        mv, best, zero = motion_search(cur, ref, cfg)
+        exhaustive = SearchConfig(block_size, search_range)
+        _, best_ex, zero_ex = motion_search(cur, ref, exhaustive)
+        assert (zero == zero_ex).all()
+        assert (best_ex <= best).all() and (best <= zero).all()
+        assert (np.abs(mv) <= search_range).all()
+        bs = block_size
+        cur_p = pad_to_block_grid(cur, bs).astype(np.int64)
+        ref_p = pad_to_block_grid(ref, bs).astype(np.int64)
+        for by, bx in np.ndindex(best.shape):
+            dx, dy = mv[by, bx]
+            block = cur_p[by * bs : (by + 1) * bs, bx * bs : (bx + 1) * bs]
+            window = ref_p[by * bs + dy :, bx * bs + dx :][:bs, :bs]
+            assert best[by, bx] == ((block - window) ** 2).sum()
+
+    @given(case=_frame_cases, block_size=st.sampled_from((8, 16, 32)))
+    @settings(max_examples=10, deadline=None)
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    def test_huge_range_equals_frame_sized_range(self, kind, case, block_size):
+        content, height, width, seed = case
+        cur, ref = _frames(content, height, width, seed)
+        huge = motion_search(cur, ref, SearchConfig(block_size, 10_000, kind))
+        frame_range = SearchConfig(block_size, max(height, width), kind)
+        frame = motion_search(cur, ref, frame_range)
+        for got, want in zip(huge, frame):
+            assert np.array_equal(got, want)
 
 
 class TestDiamond:
     def test_never_beats_exhaustive(self, rng):
-        exhaustive = SearchConfig()
         diamond = SearchConfig(search_kind="diamond")
         for _ in range(4):
             cur = random_plane(rng, 64, 48)
             ref = random_plane(rng, 64, 48)
-            for by in range(3):
-                for bx in range(4):
-                    _, best_ex, _ = block_search(cur, ref, by, bx, exhaustive)
-                    _, best_di, zero_di = block_search(cur, ref, by, bx, diamond)
-                    assert best_di >= best_ex
-                    assert best_di <= zero_di
+            _, best_ex, _ = motion_search(cur, ref)
+            _, best_di, zero_di = motion_search(cur, ref, diamond)
+            assert (best_di >= best_ex).all()
+            assert (best_di <= zero_di).all()
 
     def test_finds_exact_zero_optimum(self):
         plane = _textured()
         cfg = SearchConfig(search_kind="diamond")
-        for by in range(3):
-            for bx in range(4):
-                mv, best, zero = block_search(plane, plane, by, bx, cfg)
-                assert mv == MotionVector(0, 0)
-                assert best == 0 and zero == 0
+        mv, best, zero = motion_search(plane, plane, cfg)
+        assert not mv.any() and not best.any() and not zero.any()
 
     def test_tracks_clean_shifts(self):
         base = _textured(96, 64).samples
@@ -125,9 +187,9 @@ class TestDiamond:
         shifted[:, 3:] = base[:, :-3]
         shifted[:, :3] = base[:, :1]
         cfg = SearchConfig(search_kind="diamond")
-        mv, best, _ = block_search(shifted, base, 1, 2, cfg)
-        assert mv == MotionVector(-3, 0)
-        assert best == 0
+        mv, best, _ = motion_search(shifted, base, cfg)
+        assert tuple(mv[1, 2]) == (-3, 0)
+        assert best[1, 2] == 0
 
 
 class TestPadding:
@@ -162,13 +224,12 @@ class TestFrameStats:
         assert stats.inter_count == stats.block_count == 12
 
     def test_constant_gray_ties_classify_inter(self):
+        # best SSE 0 ties the zero intra proxy of a flat block: inter
         flat = np.full((48, 64), 128, np.uint8)
-        blocks = collect_block_stats(flat, flat)
-        for b in blocks:
-            assert b.best_sse == 0
-            assert b.intra_proxy_sse == 0.0
-            assert b.is_inter
+        _, best, _ = motion_search(flat, flat)
+        assert not best.any()
         stats = analyze_frame(flat, flat)
+        assert stats.inter_count == stats.block_count == 12
         assert stats.pcnt_zero_motion == 1.0
 
     def test_flat_frame_against_noise_is_intra(self, rng):
@@ -183,16 +244,16 @@ class TestFrameStats:
     def test_frame_sse_recomputable_from_blocks(self, rng):
         cur = random_plane(rng, 64, 48)
         prev = random_plane(rng, 64, 48)
-        blocks = collect_block_stats(cur, prev)
+        _, best, _ = motion_search(cur, prev)
         stats = analyze_frame(cur, prev)
-        assert stats.frame_sse == sum(b.best_sse for b in blocks)
-        assert stats.block_count == len(blocks)
+        assert stats.frame_sse == sum(int(b) for b in best.ravel())
+        assert stats.block_count == best.size
 
     def test_zero_mv_stdev_is_population_over_all_blocks(self, rng):
         cur = random_plane(rng, 64, 48)
         prev = random_plane(rng, 64, 48)
-        blocks = collect_block_stats(cur, prev)
-        values = np.array([b.zero_mv_sse for b in blocks], dtype=np.float64)
+        _, _, zero = motion_search(cur, prev)
+        values = zero.ravel().astype(np.float64)
         want = float(np.sqrt(((values - values.mean()) ** 2).mean()))
         got = analyze_frame(cur, prev).zero_mv_sse_stdev
         assert got == pytest.approx(want, abs=1e-9)

@@ -46,34 +46,34 @@ def max_live_references(plan: GfGroupPlan) -> int:
 
 class TestSegmentation:
     def test_two_full_groups(self):
-        assert segment_groups(33).boundaries == [(1, 16), (17, 16)]
+        assert segment_groups(33) == [(1, 16), (17, 16)]
 
     def test_short_remainder_is_resplit(self):
-        assert segment_groups(35).boundaries == [(1, 16), (17, 9), (26, 9)]
+        assert segment_groups(35) == [(1, 16), (17, 9), (26, 9)]
 
     def test_medium_remainder_kept(self):
-        assert segment_groups(26).boundaries == [(1, 16), (17, 9)]
+        assert segment_groups(26) == [(1, 16), (17, 9)]
 
     def test_single_short_run(self):
-        assert segment_groups(5).boundaries == [(1, 4)]
+        assert segment_groups(5) == [(1, 4)]
 
     def test_tiny_sequence_allows_tiny_group(self):
-        assert segment_groups(2).boundaries == [(1, 1)]
+        assert segment_groups(2) == [(1, 1)]
 
     def test_periodic_keyframes_split_runs(self):
-        assert segment_groups(25, key_interval=10).boundaries == [
+        assert segment_groups(25, key_interval=10) == [
             (1, 9),
             (11, 9),
             (21, 4),
         ]
 
     def test_keyframe_owns_no_group(self):
-        for start, interval in segment_groups(40, key_interval=10).boundaries:
+        for start, interval in segment_groups(40, key_interval=10):
             for d in range(start, start + interval):
                 assert d % 10 != 0
 
     def test_smaller_target(self):
-        assert segment_groups(17, target_interval=8).boundaries == [(1, 8), (9, 8)]
+        assert segment_groups(17, target_interval=8) == [(1, 8), (9, 8)]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ class TestSegmentation:
     )
     @settings(max_examples=150, deadline=None)
     def test_partition_property(self, total, target, key):
-        boundaries = segment_groups(total, target, key).boundaries
+        boundaries = segment_groups(total, target, key)
         keyframes = {0} if key is None else set(range(0, total - 1, key))
         covered = []
         for start, interval in boundaries:
