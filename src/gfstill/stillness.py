@@ -31,8 +31,15 @@ class StillnessThresholds:
     error_stdev_max: float = 2000.0
 
     def __post_init__(self):
-        if min(self.zero_motion_min, self.pixel_error_max, self.error_stdev_max) <= 0:
-            raise ValueError("thresholds must be positive")
+        # written so that NaN fails every test: it compares False with anything
+        if not 0 < self.zero_motion_min <= 1:
+            raise ValueError(
+                f"zero_motion_min must lie in (0, 1], got {self.zero_motion_min}"
+            )
+        for name in ("pixel_error_max", "error_stdev_max"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -130,12 +130,20 @@ def _chroma_dims(width: int, height: int, chroma: str) -> tuple[int, int]:
     return (width + 1) // 2, (height + 1) // 2
 
 
+def _header_dimension(name: str, value: bytes, pos: int) -> int:
+    size = int(value.decode("ascii"))
+    if size < MIN_DIMENSION:
+        raise Y4mError(f"{name} must be at least {MIN_DIMENSION}, got {size}", pos)
+    return size
+
+
 def load_y4m(source: Source) -> VideoSequence:
     """Parse a YUV4MPEG2 stream into luma frames.
 
     Accepts 8-bit 4:2:0 and 4:4:4 streams only.  Malformed signatures,
-    unsupported colorspace tokens and truncated payloads raise Y4mError
-    with the byte offset of the problem.
+    unsupported colorspace tokens, frames under 16x16, nonpositive frame
+    rates and truncated payloads raise Y4mError with the byte offset of
+    the problem.
     """
     data, name = _read_all(source)
     if not data.startswith(Y4M_SIGNATURE):
@@ -161,12 +169,17 @@ def load_y4m(source: Source) -> VideoSequence:
         tag, value = token[:1], token[1:]
         try:
             if tag == b"W":
-                width = int(value.decode("ascii"))
+                width = _header_dimension("width", value, pos)
             elif tag == b"H":
-                height = int(value.decode("ascii"))
+                height = _header_dimension("height", value, pos)
             elif tag == b"F":
                 num, den = value.decode("ascii").split(":")
                 rate = (int(num), int(den))
+                if min(rate) <= 0:
+                    raise Y4mError(
+                        f"frame rate must be a positive rational, got {num}:{den}",
+                        pos,
+                    )
             elif tag == b"C":
                 if value not in _COLORSPACES:
                     raise Y4mError(

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gfstill
 
 from gfstill.cli import main
 from gfstill.synth import SynthSpec, generate
@@ -86,6 +92,31 @@ class TestAnalyzeCommand:
         # the floor is exclusive, so zm == 1.0 no longer qualifies
         assert run("analyze", static_clip, "--zm-min", "1.0") == 0
         assert capsys.readouterr().out.strip().splitlines()[1].endswith("non-still")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--zm-min", "nan"),
+            ("--zm-min", "2"),
+            ("--zm-min", "0"),
+            ("--ape-max", "nan"),
+            ("--aes-max", "nan"),
+            ("--aes-max", "-inf"),
+        ],
+    )
+    def test_nan_or_out_of_range_threshold_is_usage_error(
+        self, static_clip, capsys, flag, value
+    ):
+        # joined with "=" so argparse does not read "-inf" as a flag
+        assert run("analyze", static_clip, f"{flag}={value}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("gfstill: ")
+
+    def test_infinite_ceilings_stay_legal(self, static_clip, capsys):
+        assert run("analyze", static_clip, "--ape-max", "inf",
+                   "--aes-max", "inf") == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",still")
 
     def test_histogram_sidecar(self, static_clip, tmp_path):
         hist = tmp_path / "hist.csv"
@@ -260,3 +291,33 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "analyze" in capsys.readouterr().out
+
+
+# Runs one CLI command in a fresh interpreter, then reports which scipy
+# modules that interpreter ended up holding.
+_IMPORT_PROBE = """
+import json, sys
+from gfstill.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"exit": code, "scipy": loaded}))
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("command", ["quality", "plan"])
+    def test_command_never_imports_scipy(self, command, static_clip, pan_clip, tmp_path):
+        inputs = [static_clip, pan_clip] if command == "quality" else [pan_clip]
+        env = dict(os.environ)
+        package_root = str(Path(gfstill.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, command, *inputs,
+             "-o", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report == {"exit": 0, "scipy": []}

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfstill.quality import (
@@ -90,6 +90,46 @@ class TestSsim:
     def test_too_small_frames_rejected(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((10, 16), np.uint8), np.zeros((10, 16), np.uint8))
+
+
+def _ssim_pair(content, height, width, seed):
+    rng = np.random.default_rng(seed)
+    shape = (height, width)
+    if content == "random":
+        return rng.integers(0, 256, (2, *shape), dtype=np.uint8)
+    if content == "extremes":
+        return np.stack([np.zeros(shape, np.uint8), np.full(shape, 255, np.uint8)])
+    if content == "constant":
+        levels = rng.integers(0, 256, 2)
+        return np.stack([np.full(shape, v, np.uint8) for v in levels])
+    # "one_pixel": random content, one sample changed in the second frame
+    a = rng.integers(0, 256, shape, dtype=np.uint8)
+    b = a.copy()
+    y, x = rng.integers(height), rng.integers(width)
+    b[y, x] = (int(b[y, x]) + rng.integers(1, 256)) % 256
+    return np.stack([a, b])
+
+
+class TestSsimOracleProperty:
+    @given(
+        case=st.tuples(
+            st.sampled_from(["random", "extremes", "constant", "one_pixel"]),
+            st.integers(11, 40),
+            st.integers(11, 40),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+    # single-window-high and single-window-wide strips
+    @example(case=("random", 11, 40, 1))
+    @example(case=("one_pixel", 40, 11, 2))
+    @example(case=("extremes", 11, 11, 0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_exactly_symmetric_and_self_one(self, case):
+        a, b = _ssim_pair(*case)
+        value = ssim(a, b)
+        assert abs(value - ssim_oracle(a, b)) <= 1e-9
+        assert ssim(b, a) == value
+        assert ssim(a, a) == 1.0 and ssim(b, b) == 1.0
 
 
 class TestRdCurve:

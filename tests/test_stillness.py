@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 
 import pytest
@@ -139,6 +140,36 @@ class TestClassification:
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ValueError):
             StillnessThresholds(pixel_error_max=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("zero_motion_min", math.nan),
+            ("pixel_error_max", math.nan),
+            ("error_stdev_max", math.nan),
+            ("zero_motion_min", 0.0),
+            ("zero_motion_min", 1.0 + 1e-9),
+            ("zero_motion_min", 2.0),
+            ("zero_motion_min", math.inf),
+            ("pixel_error_max", -math.inf),
+            ("error_stdev_max", -1.0),
+        ],
+    )
+    def test_thresholds_reject_nan_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StillnessThresholds(**{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"zero_motion_min": 1.0},
+            {"zero_motion_min": 1e-9},
+            {"pixel_error_max": math.inf},
+            {"error_stdev_max": math.inf},
+        ],
+    )
+    def test_threshold_edges_stay_legal(self, kwargs):
+        StillnessThresholds(**kwargs)
 
     @given(
         zm=st.floats(0, 1),

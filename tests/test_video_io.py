@@ -117,6 +117,29 @@ class TestLoad:
         with pytest.raises(ValueError):
             load_y4m(_y4m_bytes(8, 8, [np.zeros((8, 8), np.uint8)]))
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            (b"W8", "width must be at least 16"),
+            (b"H15", "height must be at least 16"),
+            (b"W0", "width must be at least 16"),
+            (b"F0:1", "frame rate must be a positive rational"),
+            (b"F25:0", "frame rate must be a positive rational"),
+            (b"F-30:1", "frame rate must be a positive rational"),
+        ],
+    )
+    def test_bad_header_value_reports_token_offset(self, token, message):
+        header = b"YUV4MPEG2 W64 H48 F25:1 C420\n"
+        tag = token[:1]
+        start = header.index(b" " + tag) + 1
+        end = header.index(b" ", start)
+        data = header[:start] + token + header[end:] + b"FRAME\n" + bytes(64 * 48 * 3 // 2)
+        with pytest.raises(Y4mError) as exc:
+            load_y4m(data)
+        assert message in str(exc.value)
+        assert exc.value.offset == start
+        assert data[exc.value.offset :].startswith(token)
+
     def test_reads_from_stream_and_path(self, tmp_path):
         data = _y4m_bytes(64, 48, _frames(2))
         path = tmp_path / "clip.y4m"
