@@ -1,7 +1,8 @@
 """Shared fixtures and independently written oracles.
 
 The oracles here deliberately avoid the library's vectorised code paths:
-the motion-search oracle is a plain nested scan, the SSIM oracle walks
+the motion-search oracles are a plain nested scan and a one-block diamond
+walk with no cache, the SSIM oracle walks
 windows one by one.  They define what the fast implementations must match.
 """
 
@@ -49,6 +50,60 @@ def brute_force_block_search(
                 zero_sse = sse
     assert best_key is not None and zero_sse is not None
     return (best_key[3], best_key[2]), best_key[0], zero_sse
+
+
+_LARGE_DIAMOND = ((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1))
+_SMALL_DIAMOND = ((0, -1), (1, 0), (0, 1), (-1, 0))
+
+
+def brute_force_diamond_search(
+    cur: np.ndarray,
+    ref: np.ndarray,
+    block_row: int,
+    block_col: int,
+    block_size: int = 16,
+    search_range: int = 8,
+) -> tuple[tuple[int, int], int, int]:
+    """Diamond search (Zhu & Ma) for one block, every candidate scored afresh.
+
+    Same contract as one block of gfstill.first_pass.motion_search with
+    search_kind="diamond": starting at (0, 0), step to the best of the
+    centre and its large-diamond neighbours until the centre wins (at most
+    4r+4 rounds), then take one small-diamond step.  A candidate counts
+    only when |dx| <= r, |dy| <= r and its window lies inside the padded
+    frame; the best has the lowest (sse, |dx|+|dy|, dy, dx).
+    """
+    h, w = cur.shape
+    bs, r = block_size, search_range
+    y0, x0 = block_row * bs, block_col * bs
+    block = cur[y0 : y0 + bs, x0 : x0 + bs].astype(np.int64)
+
+    def score(dx, dy):
+        yy, xx = y0 + dy, x0 + dx
+        if abs(dx) > r or abs(dy) > r:
+            return None
+        if yy < 0 or xx < 0 or yy + bs > h or xx + bs > w:
+            return None
+        window = ref[yy : yy + bs, xx : xx + bs].astype(np.int64)
+        return int(((block - window) ** 2).sum())
+
+    def step(cx, cy, pattern):
+        keys = []
+        for dx, dy in [(cx, cy)] + [(cx + ox, cy + oy) for ox, oy in pattern]:
+            sse = score(dx, dy)
+            if sse is not None:
+                keys.append((sse, abs(dx) + abs(dy), dy, dx))
+        best = min(keys)
+        return best[3], best[2]
+
+    cx = cy = 0
+    for _ in range(4 * r + 4):
+        nx, ny = step(cx, cy, _LARGE_DIAMOND)
+        if (nx, ny) == (cx, cy):
+            break
+        cx, cy = nx, ny
+    cx, cy = step(cx, cy, _SMALL_DIAMOND)
+    return (cx, cy), score(cx, cy), score(0, 0)
 
 
 def _oracle_gaussian(size: int = 11, sigma: float = 1.5) -> np.ndarray:

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_block_search, random_plane
+from conftest import (
+    brute_force_block_search,
+    brute_force_diamond_search,
+    random_plane,
+)
 from gfstill.first_pass import (
     SearchConfig,
     analyze_frame,
@@ -20,16 +24,18 @@ def _textured(width=64, height=48, seed=11):
 
 
 def _assert_matches_oracle(cur, ref, cfg):
-    """Every block of motion_search equals the brute-force scan exactly."""
+    """Every block of motion_search equals its brute-force oracle exactly."""
+    oracle = {
+        "exhaustive": brute_force_block_search,
+        "diamond": brute_force_diamond_search,
+    }[cfg.search_kind]
     mv, best, zero = motion_search(cur, ref, cfg)
     cur_p = pad_to_block_grid(np.asarray(cur), cfg.block_size)
     ref_p = pad_to_block_grid(np.asarray(ref), cfg.block_size)
     rows, cols = best.shape
     assert (rows * cfg.block_size, cols * cfg.block_size) == cur_p.shape
     for by, bx in np.ndindex(rows, cols):
-        want = brute_force_block_search(
-            cur_p, ref_p, by, bx, cfg.block_size, cfg.search_range
-        )
+        want = oracle(cur_p, ref_p, by, bx, cfg.block_size, cfg.search_range)
         assert (tuple(mv[by, bx]), best[by, bx], zero[by, bx]) == want
 
 
@@ -93,12 +99,22 @@ def _frames(content, height, width, seed):
         # sparse 255s leave many windows with equal SSE: the tie-break decides
         density = rng.choice((0.5, 0.1, 0.02))
         return ((rng.random((2, *shape)) < density) * 255).astype(np.uint8)
+    if content == "shifted":
+        # smooth texture whose right half moved 5 px right and left half
+        # stayed still, so diamond walks differ in length from block to block
+        y, x = np.mgrid[:height, :width]
+        phase = rng.random(2) * 2 * np.pi
+        ref = 127 + 60 * np.sin(x / 4 + phase[0]) + 60 * np.cos(y / 5 + phase[1])
+        ref = ref.astype(np.uint8)
+        cur = ref.copy()
+        cur[:, width // 2 + 5 :] = ref[:, width // 2 : -5]
+        return np.stack([cur, ref])
     levels = rng.integers(0, 256, 2)
     return np.stack([np.full(shape, v, np.uint8) for v in levels])
 
 
 _frame_cases = st.tuples(
-    st.sampled_from(["random", "extremes", "binary", "constant"]),
+    st.sampled_from(["random", "extremes", "binary", "constant", "shifted"]),
     st.integers(16, 80),
     st.integers(16, 80),
     st.integers(0, 2**32 - 1),
@@ -112,13 +128,18 @@ class TestOracleProperty:
         search_range=st.integers(1, 40),
         aligned=st.booleans(),
     )
-    # a tie between two nonzero vectors, and a padded frame at the widest range
+    # a tie between two nonzero vectors, a padded frame at the widest range,
+    # a half-still half-shifted frame, and the narrowest range
     @example(
         case=("binary", 24, 24, 2), block_size=8, search_range=2, aligned=False
     )
     @example(
         case=("extremes", 50, 70, 0), block_size=32, search_range=40, aligned=False
     )
+    @example(
+        case=("shifted", 48, 80, 5), block_size=8, search_range=8, aligned=True
+    )
+    @example(case=("shifted", 40, 56, 3), block_size=8, search_range=1, aligned=False)
     @settings(max_examples=25, deadline=None)
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
     def test_every_block_matches_oracle(
@@ -130,8 +151,8 @@ class TestOracleProperty:
             width = max(block_size, width - width % block_size)
         cur, ref = _frames(content, height, width, seed)
         cfg = SearchConfig(block_size, search_range, kind)
+        _assert_matches_oracle(cur, ref, cfg)
         if kind == "exhaustive":
-            _assert_matches_oracle(cur, ref, cfg)
             return
         # diamond is a heuristic: its score is the SSE of the vector it
         # reports, never better than the exhaustive optimum, never worse
