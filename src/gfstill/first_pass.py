@@ -18,9 +18,11 @@ from .video_io import Plane, _as_samples
 BLOCK_SIZES = (8, 16, 32)
 SEARCH_KINDS = ("exhaustive", "diamond")
 
-# Large/small diamond steps, centre excluded.
-_LDSP = ((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1))
-_SDSP = ((0, -1), (1, 0), (0, 1), (-1, 0))
+# Large/small diamond steps, centre first.
+_LDSP = np.array(
+    ((0, 0), (0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1))
+)
+_SDSP = np.array(((0, 0), (0, -1), (1, 0), (0, 1), (-1, 0)))
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,6 @@ def pad_to_block_grid(samples: np.ndarray, block_size: int) -> np.ndarray:
     return np.pad(samples, ((0, ph), (0, pw)), mode="edge")
 
 
-def _sse(cur_block: np.ndarray, ref_window: np.ndarray) -> int:
-    diff = cur_block - ref_window.astype(np.int32)
-    return int(np.einsum("ij,ij->", diff, diff))
-
-
 def _nonzero_candidates(ry: int, rx: int):
     """Every (dx, dy) != (0, 0) with |dy| <= ry and |dx| <= rx, in
     tie-break order: ascending |dx|+|dy|, then dy, then dx."""
@@ -85,7 +82,8 @@ def motion_search(
     would leave the padded frame are skipped; the zero vector is always a
     candidate, so best_sse <= zero_mv_sse.  Ties are broken by lower SSE,
     then smaller |dx|+|dy|, then smaller dy, then smaller dx, which makes
-    the result order-independent.
+    the result order-independent.  The exhaustive search tries every vector
+    in range, the diamond search stops where a diamond walk from (0, 0) does.
 
     Returns int64 arrays (mv, best_sse, zero_mv_sse) of shapes
     (rows, cols, 2), (rows, cols) and (rows, cols); mv[..., 0] is dx and
@@ -99,24 +97,17 @@ def motion_search(
         raise ValueError("current and reference frames differ in size")
     h, w = cur_s.shape
     rows, cols = h // bs, w // bs
-    mv = np.zeros((rows, cols, 2), np.int64)
-
-    if cfg.search_kind == "diamond":
-        best = np.empty((rows, cols), np.int64)
-        zero = np.empty_like(best)
-        for by, bx in np.ndindex(rows, cols):
-            y0, x0 = by * bs, bx * bs
-            block = cur_s[y0 : y0 + bs, x0 : x0 + bs].astype(np.int32)
-            mv[by, bx], best[by, bx], zero[by, bx] = _diamond_search(
-                block, ref_s, y0, x0, cfg
-            )
-        return mv, best, zero
-
+    # no window reaches further than the padded frame, whatever the range
+    ry, rx = min(r, h - bs), min(r, w - bs)
     # C order keeps each difference below contiguous, so its reshapes are views
     cur_i = cur_s.astype(np.int32, order="C")
     ref_i = ref_s.astype(np.int32, order="C")
 
-    def block_sse(dx: int, dy: int, b0: int, b1: int, c0: int, c1: int):
+    def block_sse(dx: int, dy: int) -> tuple[tuple[slice, slice], np.ndarray]:
+        """SSE at (dx, dy) of the blocks whose window stays inside the padded
+        frame, with the grid slices that locate those blocks."""
+        b0, b1 = max(0, -(dy // bs)), min(rows, (h - dy) // bs)
+        c0, c1 = max(0, -(dx // bs)), min(cols, (w - dx) // bs)
         diff = cur_i[b0 * bs : b1 * bs, c0 * bs : c1 * bs] - ref_i[
             b0 * bs + dy : b1 * bs + dy, c0 * bs + dx : c1 * bs + dx
         ]
@@ -124,65 +115,80 @@ def motion_search(
         # 32x32 blocks peak below 2**31 so int32 is safe; summing rows then
         # columns is about twice as fast as one sum over axes (1, 3)
         col_sums = diff.reshape(b1 - b0, bs, -1).sum(axis=1, dtype=np.int32)
-        return col_sums.reshape(b1 - b0, c1 - c0, bs).sum(axis=2, dtype=np.int32)
+        sse = col_sums.reshape(b1 - b0, c1 - c0, bs).sum(axis=2, dtype=np.int32)
+        return np.s_[b0:b1, c0:c1], sse
 
-    zero = block_sse(0, 0, 0, rows, 0, cols).astype(np.int64)
+    zero = block_sse(0, 0)[1].astype(np.int64)
+    if cfg.search_kind == "diamond":
+        # each move strictly decreases the (sse, |dx|+|dy|, dy, dx) key, so
+        # every walk ends; the round cap is only a belt-and-braces bound
+        mv, best = _diamond_walk(block_sse, zero, rx, ry, 4 * r + 4)
+        return mv, best, zero
+
+    mv = np.zeros((rows, cols, 2), np.int64)
     best = zero.copy()
     # visiting in tie-break order and moving only on a strictly lower SSE
-    # keeps the first of equally good candidates; no window reaches further
-    # than the padded frame, whatever the range
-    for dx, dy in _nonzero_candidates(min(r, h - bs), min(r, w - bs)):
-        # the blocks whose window at (dx, dy) stays inside the padded frame
-        b0, b1 = max(0, -(dy // bs)), min(rows, (h - dy) // bs)
-        c0, c1 = max(0, -(dx // bs)), min(cols, (w - dx) // bs)
-        sse = block_sse(dx, dy, b0, b1, c0, c1)
-        sub_best = best[b0:b1, c0:c1]
+    # keeps the first of equally good candidates
+    for dx, dy in _nonzero_candidates(ry, rx):
+        fits, sse = block_sse(dx, dy)
+        sub_best = best[fits]
         better = sse < sub_best
         sub_best[better] = sse[better]
-        mv[b0:b1, c0:c1][better] = dx, dy
+        mv[fits][better] = dx, dy
     return mv, best, zero
 
 
-def _diamond_search(
-    cur_block: np.ndarray, ref_s: np.ndarray, y0: int, x0: int, cfg: SearchConfig
-) -> tuple[tuple[int, int], int, int]:
-    bs, r = cfg.block_size, cfg.search_range
-    h, w = ref_s.shape
-    cache: dict[tuple[int, int], int] = {}
+def _diamond_walk(
+    block_sse, zero: np.ndarray, rx: int, ry: int, rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diamond search (Zhu & Ma, IEEE TIP 2000) for every block in lock step.
 
-    def eval_at(dx: int, dy: int) -> int | None:
-        if abs(dx) > r or abs(dy) > r:
-            return None
-        yy, xx = y0 + dy, x0 + dx
-        if not (0 <= yy <= h - bs and 0 <= xx <= w - bs):
-            return None
-        key = (dx, dy)
-        if key not in cache:
-            cache[key] = _sse(cur_block, ref_s[yy : yy + bs, xx : xx + bs])
-        return cache[key]
+    Each round, every block still walking moves to the best (lowest
+    (sse, |dx|+|dy|, dy, dx)) of its centre and the large diamond around it,
+    and stops once the centre wins; then every block takes one small-diamond
+    step.  SSE comes from one whole-grid table per vector, filled by
+    block_sse when a block first asks for it; windows outside the padded
+    frame and vectors beyond (rx, ry) score a sentinel that never wins.
+    """
+    never = np.iinfo(np.int64).max
+    tables = {(0, 0): zero.ravel()}
 
-    def pick(candidates: list[tuple[int, int]]) -> tuple[int, int]:
-        scored = []
-        for dx, dy in candidates:
-            s = eval_at(dx, dy)
-            if s is not None:
-                scored.append((s, abs(dx) + abs(dy), dy, dx))
-        best = min(scored)
-        return best[3], best[2]
+    def table(dx: int, dy: int) -> np.ndarray:
+        if (dx, dy) not in tables:
+            t = np.full(zero.shape, never)
+            if abs(dx) <= rx and abs(dy) <= ry:
+                fits, sse = block_sse(dx, dy)
+                t[fits] = sse
+            tables[dx, dy] = t.ravel()
+        return tables[dx, dy]
 
-    zero_mv_sse = eval_at(0, 0)
-    assert zero_mv_sse is not None  # the block itself is inside the frame
+    mv = np.zeros((zero.size, 2), np.int64)
+    best = zero.ravel().copy()
 
-    cx = cy = 0
-    # each move strictly decreases the (sse, |dx|+|dy|, dy, dx) key, so the
-    # walk terminates; the range bound is just a belt-and-braces cap
-    for _ in range(4 * r + 4):
-        nx, ny = pick([(cx, cy)] + [(cx + ox, cy + oy) for ox, oy in _LDSP])
-        if (nx, ny) == (cx, cy):
+    def step(blocks: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+        # candidates along axis 0, the centre first; the walk starts and stays
+        # on windows inside the frame, so the centre never scores the sentinel
+        cand = mv[blocks] + pattern[:, None]
+        flat = cand.reshape(-1, 2)
+        # one int64 code per vector: a 1-d unique is much faster than axis=0
+        _, first, inverse = np.unique(
+            flat[:, 0] + (flat[:, 1] << 32), return_index=True, return_inverse=True
+        )
+        stack = np.stack([table(dx, dy) for dx, dy in flat[first].tolist()])
+        sse = stack[inverse.reshape(cand.shape[:2]), blocks]
+        dx, dy = cand[..., 0], cand[..., 1]
+        pick = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), sse), axis=0)[0]
+        i = np.arange(blocks.size)
+        mv[blocks], best[blocks] = cand[pick, i], sse[pick, i]
+        return blocks[pick != 0]
+
+    walking = np.arange(zero.size)
+    for _ in range(rounds):
+        walking = step(walking, _LDSP)  # the blocks that moved
+        if not walking.size:
             break
-        cx, cy = nx, ny
-    cx, cy = pick([(cx, cy)] + [(cx + ox, cy + oy) for ox, oy in _SDSP])
-    return (cx, cy), cache[(cx, cy)], zero_mv_sse
+    step(np.arange(zero.size), _SDSP)
+    return mv.reshape(*zero.shape, 2), best.reshape(zero.shape)
 
 
 def analyze_frame(
