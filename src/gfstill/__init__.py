@@ -38,7 +38,6 @@ from .quality import (
 )
 from .stillness import (
     GfGroupMetrics,
-    GroupRecord,
     StillnessThresholds,
     classify_stillness,
     compute_group_metrics,
@@ -66,7 +65,6 @@ __all__ = [
     "GfGroupMetrics",
     "GfGroupPlan",
     "GroupPlanResult",
-    "GroupRecord",
     "PlanEntry",
     "QualityReport",
     "RdCurve",

@@ -23,7 +23,6 @@ from .gop_planner import (
 from .quality import bd_rate, load_rd_csv, sequence_quality
 from .stillness import (
     DEFAULT_HISTOGRAM_BINS,
-    GroupRecord,
     StillnessThresholds,
     dump_group_metrics,
     dump_metric_histograms,
@@ -182,13 +181,9 @@ def cmd_analyze(args) -> int:
     if args.hist_bins < 1:
         raise UsageError("--hist-bins must be >= 1")
     results, _ = _analysed_groups(args)
-    records = [
-        GroupRecord(r.group_id, r.start_display, r.metrics, r.verdict)
-        for r in results
-    ]
     out, own = _open_output(args.output)
     try:
-        dump_group_metrics(records, out)
+        dump_group_metrics(results, out)
     finally:
         if own:
             out.close()

@@ -160,43 +160,6 @@ def _nearest_past_refs(display: int, coded: list[int]) -> dict[str, int]:
     return refs
 
 
-def _single_layer_entries(interval: int) -> list[PlanEntry]:
-    entries = [
-        PlanEntry(
-            display_index=interval,
-            encode_order=0,
-            role=FrameRole.ALTREF,
-            layer=1,
-            refs={"LAST": 0, "GOLDEN": 0},
-        )
-    ]
-    coded = [0, interval]
-    for d in range(1, interval):
-        refs = _nearest_past_refs(d, coded)
-        refs["ALTREF"] = interval
-        entries.append(
-            PlanEntry(
-                display_index=d,
-                encode_order=d,
-                role=FrameRole.REGULAR,
-                layer=2,
-                refs=refs,
-            )
-        )
-        insort(coded, d)
-    entries.append(
-        PlanEntry(
-            display_index=interval,
-            encode_order=interval,
-            role=FrameRole.OVERLAY,
-            layer=1,
-            refs={},
-            show_existing=True,
-        )
-    )
-    return entries
-
-
 def _pyramid_events(interval: int) -> list[tuple[str, int, int]]:
     """In-order traversal of the binary split: (kind, display, layer)."""
     events: list[tuple[str, int, int]] = []
@@ -217,8 +180,16 @@ def _pyramid_events(interval: int) -> list[tuple[str, int, int]]:
     return events
 
 
-def _multilayer_entries(interval: int) -> list[PlanEntry]:
-    events = _pyramid_events(interval)
+def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
+    """ALTREF first, then the interior displays, then the OVERLAY.
+
+    Still groups code the interior in display order as leaves; non-still
+    groups follow the pyramid and also reference the next coded frames.
+    """
+    if still:
+        events = [("leaf", d, 0) for d in range(1, interval)]
+    else:
+        events = _pyramid_events(interval)
     anchor_layers = [layer for kind, _, layer in events if kind == "anchor"]
     leaf_layer = max([1] + anchor_layers) + 1
 
@@ -234,11 +205,9 @@ def _multilayer_entries(interval: int) -> list[PlanEntry]:
     coded = [0, interval]
     for kind, display, layer in events:
         refs = _nearest_past_refs(display, coded)
-        future = [c for c in coded if c > display]
-        if future:
-            refs["BWDREF"] = future[0]
-            if len(future) > 1:
-                refs["ALTREF2"] = future[1]
+        if not still:
+            future = [c for c in coded if c > display]
+            refs.update(zip(("BWDREF", "ALTREF2"), future))
         refs["ALTREF"] = interval
         if kind == "anchor":
             span_reach = min(display - a for a in coded if a < display)
@@ -285,9 +254,9 @@ def plan_group(interval: int, verdict: str) -> GfGroupPlan:
         raise ValueError(f"interval must lie in [1, {MAX_GROUP_INTERVAL}]")
     if verdict not in ("still", "non-still"):
         raise ValueError(f"unknown verdict {verdict!r}")
-    if verdict == "still":
-        return GfGroupPlan(interval, SINGLE_LAYER, _single_layer_entries(interval))
-    return GfGroupPlan(interval, MULTILAYER, _multilayer_entries(interval))
+    still = verdict == "still"
+    structure = SINGLE_LAYER if still else MULTILAYER
+    return GfGroupPlan(interval, structure, _group_entries(interval, still))
 
 
 def validate_plan(

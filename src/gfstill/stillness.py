@@ -10,11 +10,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .first_pass import FrameFirstPassStats
+
+if TYPE_CHECKING:  # gop_planner imports this module
+    from .gop_planner import GroupPlanResult
 
 STILL = "still"
 NON_STILL = "non-still"
@@ -58,16 +61,6 @@ class GfGroupMetrics:
             raise ValueError("error metrics must be non-negative")
 
 
-@dataclass
-class GroupRecord:
-    """One row of the calibration dump: a group, its metrics, its verdict."""
-
-    group_id: int
-    first_display_index: int
-    metrics: GfGroupMetrics
-    verdict: str
-
-
 def compute_group_metrics(
     stats: Sequence[FrameFirstPassStats], pixels_per_frame: int
 ) -> GfGroupMetrics:
@@ -105,8 +98,9 @@ def classify_stillness(
     return STILL if still else NON_STILL
 
 
-def dump_group_metrics(records: Iterable[GroupRecord], sink: IO[str]) -> int:
-    """Write the per-group calibration CSV; returns the data row count."""
+def dump_group_metrics(results: Iterable[GroupPlanResult], sink: IO[str]) -> int:
+    """Write the per-group calibration CSV, one row per planned group;
+    returns the data row count."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(
         (
@@ -120,17 +114,17 @@ def dump_group_metrics(records: Iterable[GroupRecord], sink: IO[str]) -> int:
         )
     )
     count = 0
-    for rec in records:
-        m = rec.metrics
+    for res in results:
+        m = res.metrics
         writer.writerow(
             (
-                rec.group_id,
-                rec.first_display_index,
+                res.group_id,
+                res.start_display,
                 m.interval,
                 f"{m.zero_motion_accumulator:.6f}",
                 f"{m.avg_pixel_error:.6f}",
                 f"{m.avg_error_stdev:.6f}",
-                rec.verdict,
+                res.verdict,
             )
         )
         count += 1

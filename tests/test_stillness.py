@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfstill.first_pass import FrameFirstPassStats
+from gfstill.gop_planner import GroupPlanResult, plan_group
 from gfstill.stillness import (
     GfGroupMetrics,
-    GroupRecord,
     StillnessThresholds,
     classify_stillness,
     compute_group_metrics,
@@ -199,12 +199,20 @@ class TestClassification:
 
 class TestDump:
     def test_csv_layout_frozen(self):
-        records = [
-            GroupRecord(1, 1, _metrics(1.0, 0.0, 0.0), "still"),
-            GroupRecord(2, 17, _metrics(0.25, 12.5, 3000.0, interval=9), "non-still"),
+        results = [
+            GroupPlanResult(
+                1, 1, _metrics(1.0, 0.0, 0.0), "still", plan_group(16, "still")
+            ),
+            GroupPlanResult(
+                2,
+                17,
+                _metrics(0.25, 12.5, 3000.0, interval=9),
+                "non-still",
+                plan_group(9, "non-still"),
+            ),
         ]
         sink = io.StringIO()
-        assert dump_group_metrics(records, sink) == 2
+        assert dump_group_metrics(results, sink) == 2
         assert sink.getvalue() == (
             "group_id,first_display_index,interval,zero_motion_accumulator,"
             "avg_pixel_error,avg_error_stdev,verdict\n"
