@@ -95,6 +95,12 @@ class RdPoint:
     quality: float
 
     def __post_init__(self):
+        # NaN fails every comparison below, so it needs its own check
+        if not (math.isfinite(self.bitrate) and math.isfinite(self.quality)):
+            raise ValueError(
+                f"RD point must be finite, got bitrate {self.bitrate}, "
+                f"quality {self.quality}"
+            )
         if self.bitrate <= 0:
             raise ValueError("bitrate must be positive")
 

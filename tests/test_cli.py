@@ -268,6 +268,26 @@ class TestBdrateCommand:
         assert run("bdrate", base, str(bad)) == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "100,30\nnan,33\n400,36\n800,39\n",
+            "100,30\n200,33\n400,36\ninf,39\n",
+            "100,30\n200,nan\n400,36\n800,39\n",
+            "100,30\n200,33\n400,36\n800,inf\n",
+        ],
+        ids=["nan-bitrate", "inf-bitrate", "nan-quality", "inf-quality"],
+    )
+    def test_non_finite_value_is_io_error(self, tmp_path, capfd, rows):
+        # capfd, not capsys: LAPACK used to write to the stderr descriptor
+        base = self._write(tmp_path, "base.csv", 1.0)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(rows)
+        assert run("bdrate", base, str(bad)) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "must be finite" in err
+
     def test_too_few_points_is_io_error(self, tmp_path):
         base = self._write(tmp_path, "base.csv", 1.0)
         short = tmp_path / "short.csv"

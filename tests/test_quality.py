@@ -154,6 +154,20 @@ class TestRdCurve:
         with pytest.raises(ValueError):
             RdPoint(0.0, 30.0)
 
+    @pytest.mark.parametrize(
+        "bitrate, quality",
+        [
+            (math.nan, 30.0),
+            (math.inf, 30.0),
+            (100.0, math.nan),
+            (100.0, math.inf),
+            (100.0, -math.inf),
+        ],
+    )
+    def test_non_finite_point_rejected(self, bitrate, quality):
+        with pytest.raises(ValueError, match="finite"):
+            RdPoint(bitrate, quality)
+
 
 class TestBdRate:
     PAIRS = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
