@@ -295,6 +295,31 @@ class TestBdrateCommand:
         assert run("bdrate", base, str(short)) == 2
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize("command", ["analyze", "plan", "quality"])
+    def test_output_file_holds_exactly_the_stdout_bytes(
+        self, command, static_clip, pan_clip, tmp_path, capsys
+    ):
+        inputs = [static_clip, pan_clip] if command == "quality" else [pan_clip]
+        assert run(command, *inputs) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert run(command, *inputs, "-o", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
+    @pytest.mark.parametrize("command", ["analyze", "plan", "quality"])
+    def test_output_in_missing_directory_is_io_error(
+        self, command, static_clip, tmp_path, capsys
+    ):
+        inputs = [static_clip, static_clip] if command == "quality" else [static_clip]
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert run(command, *inputs, "-o", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gfstill: ") and not out.parent.exists()
+
+
 class TestParsing:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run() == 1
