@@ -21,8 +21,8 @@ for verdict in ("still", "non-still"):
             f"{e.encode_order:>6} {e.display_index:>8} {e.role.value:<13} "
             f"{e.layer:>5}  {refs}{shown}"
         )
-    report = validate_plan(plan)
-    print(f"validation: {'clean' if report.ok else report.violations}")
+    violations = validate_plan(plan)
+    print(f"validation: {violations or 'clean'}")
 
 # The pyramid's depth-first encode order is what keeps the reference
 # buffer small: finished sub-spans retire their short-lived anchors before

@@ -19,7 +19,7 @@ from .gop_planner import (
     GfGroupPlan,
     GroupPlanResult,
     PlanEntry,
-    ValidationReport,
+    dump_group_metrics,
     plan_group,
     plan_sequence,
     plans_to_json,
@@ -41,7 +41,6 @@ from .stillness import (
     StillnessThresholds,
     classify_stillness,
     compute_group_metrics,
-    dump_group_metrics,
     dump_metric_histograms,
     metric_histograms,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "SearchConfig",
     "StillnessThresholds",
     "SynthSpec",
-    "ValidationReport",
     "VideoSequence",
     "Y4mError",
     "analyze_frame",

@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .first_pass import BLOCK_SIZES, SEARCH_KINDS, SearchConfig
 from .gop_planner import (
     MAX_GROUP_INTERVAL,
-    MIN_GROUP_INTERVAL,
     GroupPlanResult,
+    check_intervals,
+    dump_group_metrics,
     plan_sequence,
     plans_to_json,
     validate_plan,
@@ -23,8 +25,8 @@ from .gop_planner import (
 from .quality import bd_rate, load_rd_csv, sequence_quality
 from .stillness import (
     DEFAULT_HISTOGRAM_BINS,
+    STILL,
     StillnessThresholds,
-    dump_group_metrics,
     dump_metric_histograms,
 )
 from .synth import SYNTH_KINDS, SynthSpec, generate
@@ -53,9 +55,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--block-size", type=int, default=16, choices=BLOCK_SIZES)
-    p.add_argument("--search-range", type=int, default=8)
-    p.add_argument("--search-kind", default="exhaustive", choices=SEARCH_KINDS)
+    p.add_argument(
+        "--block-size", type=int, default=SearchConfig.block_size, choices=BLOCK_SIZES
+    )
+    p.add_argument("--search-range", type=int, default=SearchConfig.search_range)
+    p.add_argument(
+        "--search-kind", default=SearchConfig.search_kind, choices=SEARCH_KINDS
+    )
     p.add_argument(
         "--target-interval",
         type=int,
@@ -63,10 +69,15 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
         help="frames per golden-frame group before remainder handling",
     )
     p.add_argument("--key-interval", type=int, default=None)
-    p.add_argument("--zm-min", type=float, default=None, help="zero-motion floor")
-    p.add_argument("--ape-max", type=float, default=None, help="pixel-error ceiling")
+    t = StillnessThresholds()
     p.add_argument(
-        "--aes-max", type=float, default=None, help="error-spread ceiling"
+        "--zm-min", type=float, default=t.zero_motion_min, help="zero-motion floor"
+    )
+    p.add_argument(
+        "--ape-max", type=float, default=t.pixel_error_max, help="pixel-error ceiling"
+    )
+    p.add_argument(
+        "--aes-max", type=float, default=t.error_stdev_max, help="error-spread ceiling"
     )
     p.add_argument("--width", type=int, default=None, help="raw .yuv width")
     p.add_argument("--height", type=int, default=None, help="raw .yuv height")
@@ -103,22 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a deterministic synthetic Y4M clip")
     p.add_argument("output")
     p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
-    p.add_argument("--width", type=int, default=176)
-    p.add_argument("--height", type=int, default=144)
-    p.add_argument("--frames", type=int, default=16)
-    p.add_argument("--amplitude", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--width", type=int, default=SynthSpec.width)
+    p.add_argument("--height", type=int, default=SynthSpec.height)
+    p.add_argument("--frames", type=int, default=SynthSpec.frame_count)
+    p.add_argument("--amplitude", type=float, default=SynthSpec.amplitude)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
 
     return parser
-
-
-def _thresholds_from(args) -> StillnessThresholds:
-    defaults = StillnessThresholds()
-    return StillnessThresholds(
-        zero_motion_min=args.zm_min if args.zm_min is not None else defaults.zero_motion_min,
-        pixel_error_max=args.ape_max if args.ape_max is not None else defaults.pixel_error_max,
-        error_stdev_max=args.aes_max if args.aes_max is not None else defaults.error_stdev_max,
-    )
 
 
 def _load_sequence(path: str, args) -> VideoSequence:
@@ -130,63 +132,59 @@ def _load_sequence(path: str, args) -> VideoSequence:
     return load_y4m(path)
 
 
-def _open_output(path: str | None):
+@contextmanager
+def _output(path: str | None):
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
-def _analysed_groups(args) -> tuple[list[GroupPlanResult], VideoSequence]:
+def _analysed_groups(args) -> list[GroupPlanResult]:
+    # every flag is checked before the input is read
     try:
         cfg = SearchConfig(
             block_size=args.block_size,
             search_range=args.search_range,
             search_kind=args.search_kind,
         )
-        thresholds = _thresholds_from(args)
-        if not MIN_GROUP_INTERVAL <= args.target_interval <= MAX_GROUP_INTERVAL:
-            raise ValueError(
-                f"--target-interval must lie in "
-                f"[{MIN_GROUP_INTERVAL}, {MAX_GROUP_INTERVAL}]"
-            )
-        if args.key_interval is not None and args.key_interval < 2:
-            raise ValueError("--key-interval must be >= 2")
-    except UsageError:
-        raise
+        thresholds = StillnessThresholds(
+            zero_motion_min=args.zm_min,
+            pixel_error_max=args.ape_max,
+            error_stdev_max=args.aes_max,
+        )
+        check_intervals(args.target_interval, args.key_interval)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sequence = _load_sequence(args.input, args)
-    if cfg.block_size != 16 and thresholds == StillnessThresholds():
+    bs = SearchConfig.block_size
+    if cfg.block_size != bs and thresholds == StillnessThresholds():
         print(
-            "warning: default thresholds were calibrated for 16x16 blocks; "
+            f"warning: default thresholds were calibrated for {bs}x{bs} blocks; "
             "recalibrate before trusting verdicts",
             file=sys.stderr,
         )
-    results = plan_sequence(
+    return plan_sequence(
         sequence,
         cfg,
         thresholds,
         target_interval=args.target_interval,
         key_interval=args.key_interval,
     )
-    return results, sequence
 
 
 def _summarise(results: list[GroupPlanResult]) -> str:
-    still = sum(1 for r in results if r.verdict == "still")
+    still = sum(1 for r in results if r.verdict == STILL)
     return f"{len(results)} group(s): {still} still, {len(results) - still} non-still"
 
 
 def cmd_analyze(args) -> int:
     if args.hist_bins < 1:
         raise UsageError("--hist-bins must be >= 1")
-    results, _ = _analysed_groups(args)
-    out, own = _open_output(args.output)
-    try:
+    results = _analysed_groups(args)
+    with _output(args.output) as out:
         dump_group_metrics(results, out)
-    finally:
-        if own:
-            out.close()
     if args.histogram:
         with open(args.histogram, "w", newline="") as hist_out:
             dump_metric_histograms(
@@ -197,21 +195,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    results, _ = _analysed_groups(args)
+    results = _analysed_groups(args)
     for r in results:
-        report = validate_plan(r.plan)
-        if not report.ok:
-            details = "; ".join(v.message for v in report.violations)
+        violations = validate_plan(r.plan)
+        if violations:
+            details = "; ".join(v.message for v in violations)
             raise PlanValidationError(
                 f"group {r.group_id} produced an invalid plan: {details}"
             )
-    out, own = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(plans_to_json(results), out, indent=2)
         out.write("\n")
-    finally:
-        if own:
-            out.close()
     print(_summarise(results), file=sys.stderr)
     return EXIT_OK
 
@@ -220,15 +214,11 @@ def cmd_quality(args) -> int:
     ref = load_y4m(args.reference)
     dist = load_y4m(args.distorted)
     report = sequence_quality(ref.frames, dist.frames)
-    out, own = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("frame,psnr_db,ssim\n")
         for i, (p, s) in enumerate(zip(report.psnr_db, report.ssim)):
             out.write(f"{i},{p:.6f},{s:.8f}\n")
         out.write(f"mean,{report.avg_psnr_db:.6f},{report.avg_ssim:.8f}\n")
-    finally:
-        if own:
-            out.close()
     print(
         f"{len(report.psnr_db)} frame(s): mean PSNR {report.avg_psnr_db:.3f} dB, "
         f"mean SSIM {report.avg_ssim:.5f}",

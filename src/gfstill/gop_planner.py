@@ -16,12 +16,17 @@ the hardware-style slot budget.
 
 from __future__ import annotations
 
+import csv
 import enum
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import IO, Sequence
 
 from .first_pass import SearchConfig, analyze_frame
 from .stillness import (
+    METRIC_NAMES,
+    NON_STILL,
+    STILL,
     GfGroupMetrics,
     StillnessThresholds,
     classify_stillness,
@@ -78,21 +83,23 @@ class PlanViolation:
 
 
 @dataclass
-class ValidationReport:
-    violations: list[PlanViolation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class GroupPlanResult:
     group_id: int
     start_display: int
     metrics: GfGroupMetrics
     verdict: str
     plan: GfGroupPlan
+
+
+def check_intervals(target_interval: int, key_interval: int | None) -> None:
+    """Raise ValueError unless both are legal segment_groups intervals."""
+    if not MIN_GROUP_INTERVAL <= target_interval <= MAX_GROUP_INTERVAL:
+        raise ValueError(
+            f"target_interval must lie in "
+            f"[{MIN_GROUP_INTERVAL}, {MAX_GROUP_INTERVAL}]"
+        )
+    if key_interval is not None and key_interval < 2:
+        raise ValueError("key_interval must be >= 2")
 
 
 def segment_groups(
@@ -111,13 +118,7 @@ def segment_groups(
     """
     if total_frames < 2:
         raise ValueError("need at least two frames to form a group")
-    if not MIN_GROUP_INTERVAL <= target_interval <= MAX_GROUP_INTERVAL:
-        raise ValueError(
-            f"target_interval must lie in "
-            f"[{MIN_GROUP_INTERVAL}, {MAX_GROUP_INTERVAL}]"
-        )
-    if key_interval is not None and key_interval < 2:
-        raise ValueError("key_interval must be >= 2")
+    check_intervals(target_interval, key_interval)
 
     keyframes = [0]
     if key_interval is not None:
@@ -204,6 +205,7 @@ def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
     ]
     coded = [0, interval]
     for kind, display, layer in events:
+        # refs go in in REF_SLOTS order, which plans_to_json writes as is
         refs = _nearest_past_refs(display, coded)
         if not still:
             future = [c for c in coded if c > display]
@@ -252,17 +254,18 @@ def plan_group(interval: int, verdict: str) -> GfGroupPlan:
     """
     if not 1 <= interval <= MAX_GROUP_INTERVAL:
         raise ValueError(f"interval must lie in [1, {MAX_GROUP_INTERVAL}]")
-    if verdict not in ("still", "non-still"):
+    if verdict not in (STILL, NON_STILL):
         raise ValueError(f"unknown verdict {verdict!r}")
-    still = verdict == "still"
+    still = verdict == STILL
     structure = SINGLE_LAYER if still else MULTILAYER
     return GfGroupPlan(interval, structure, _group_entries(interval, still))
 
 
 def validate_plan(
     plan: GfGroupPlan, buffer_slots: int = REF_BUFFER_SLOTS
-) -> ValidationReport:
-    """Check a plan's structural sanity; returns all violations found.
+) -> list[PlanViolation]:
+    """Check a plan's structural sanity; returns all violations found, so an
+    empty list means the plan is valid.
 
     Checks: decode-before-reference order, exactly-once display coverage
     (overlays excluded), reference liveness within the slot budget,
@@ -373,7 +376,7 @@ def validate_plan(
                     )
                 )
 
-    return ValidationReport(violations)
+    return violations
 
 
 def plan_sequence(
@@ -416,37 +419,31 @@ def plan_sequence(
     return results
 
 
-def _entry_to_dict(entry: PlanEntry) -> dict:
-    refs = {slot: entry.refs[slot] for slot in REF_SLOTS if slot in entry.refs}
-    return {
-        "display_index": entry.display_index,
-        "encode_order": entry.encode_order,
-        "role": entry.role.value,
-        "layer": entry.layer,
-        "refs": refs,
-        "show_existing": entry.show_existing,
-    }
-
-
 def plans_to_json(results: list[GroupPlanResult]) -> list[dict]:
     """JSON-ready structure plans, one object per group."""
-    out = []
+    return [
+        {
+            "group_id": r.group_id,
+            "start_display_index": r.start_display,
+            "interval": r.plan.interval,
+            "verdict": r.verdict,
+            "structure": r.plan.structure,
+            "metrics": asdict(r.metrics),
+            "entries": [asdict(e) for e in r.plan.entries],
+        }
+        for r in results
+    ]
+
+
+def dump_group_metrics(results: Sequence[GroupPlanResult], sink: IO[str]) -> int:
+    """Write the per-group calibration CSV, one row per planned group;
+    returns the data row count."""
+    writer = csv.writer(sink, lineterminator="\n")
+    header = ("group_id", "first_display_index", "interval", *METRIC_NAMES, "verdict")
+    writer.writerow(header)
     for r in results:
-        m = r.metrics
-        out.append(
-            {
-                "group_id": r.group_id,
-                "start_display_index": r.start_display,
-                "interval": r.plan.interval,
-                "verdict": r.verdict,
-                "structure": r.plan.structure,
-                "metrics": {
-                    "interval": m.interval,
-                    "zero_motion_accumulator": m.zero_motion_accumulator,
-                    "avg_pixel_error": m.avg_pixel_error,
-                    "avg_error_stdev": m.avg_error_stdev,
-                },
-                "entries": [_entry_to_dict(e) for e in r.plan.entries],
-            }
+        metrics = (f"{getattr(r.metrics, name):.6f}" for name in METRIC_NAMES)
+        writer.writerow(
+            (r.group_id, r.start_display, r.metrics.interval, *metrics, r.verdict)
         )
-    return out
+    return len(results)

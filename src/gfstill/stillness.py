@@ -10,14 +10,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .first_pass import FrameFirstPassStats
-
-if TYPE_CHECKING:  # gop_planner imports this module
-    from .gop_planner import GroupPlanResult
 
 STILL = "still"
 NON_STILL = "non-still"
@@ -96,39 +93,6 @@ def classify_stillness(
         and metrics.avg_error_stdev < t.error_stdev_max
     )
     return STILL if still else NON_STILL
-
-
-def dump_group_metrics(results: Iterable[GroupPlanResult], sink: IO[str]) -> int:
-    """Write the per-group calibration CSV, one row per planned group;
-    returns the data row count."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(
-        (
-            "group_id",
-            "first_display_index",
-            "interval",
-            "zero_motion_accumulator",
-            "avg_pixel_error",
-            "avg_error_stdev",
-            "verdict",
-        )
-    )
-    count = 0
-    for res in results:
-        m = res.metrics
-        writer.writerow(
-            (
-                res.group_id,
-                res.start_display,
-                m.interval,
-                f"{m.zero_motion_accumulator:.6f}",
-                f"{m.avg_pixel_error:.6f}",
-                f"{m.avg_error_stdev:.6f}",
-                res.verdict,
-            )
-        )
-        count += 1
-    return count
 
 
 def metric_histograms(

@@ -154,7 +154,7 @@ class TestSingleLayerPlan:
     def test_degenerate_interval(self):
         plan = plan_group(1, "still")
         assert [e.role for e in plan.entries] == [FrameRole.ALTREF, FrameRole.OVERLAY]
-        assert validate_plan(plan).ok
+        assert validate_plan(plan) == []
 
 
 class TestMultilayerPlan:
@@ -227,7 +227,7 @@ class TestMultilayerPlan:
     def test_degenerate_intervals(self):
         for interval in (1, 2):
             plan = plan_group(interval, "non-still")
-            assert validate_plan(plan).ok
+            assert validate_plan(plan) == []
             displays = [e.display_index for e in plan.entries if not e.show_existing]
             assert sorted(displays) == list(range(1, interval + 1))
 
@@ -245,8 +245,8 @@ class TestValidation:
     @pytest.mark.parametrize("verdict", ["still", "non-still"])
     def test_all_generated_plans_validate(self, interval, verdict):
         plan = plan_group(interval, verdict)
-        report = validate_plan(plan)
-        assert report.ok, [v.message for v in report.violations]
+        violations = validate_plan(plan)
+        assert not violations, [v.message for v in violations]
         assert max_live_references(plan) <= REF_BUFFER_SLOTS
 
     def test_sixteen_frame_pyramid_liveness_is_seven(self):
@@ -262,8 +262,8 @@ class TestValidation:
                 PlanEntry(2, 2, FrameRole.OVERLAY, 1, {}, show_existing=True),
             ],
         )
-        report = validate_plan(plan)
-        assert any(v.check == "decode_order" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "decode_order" for v in violations)
 
     def test_overlay_of_uncoded_frame_flagged(self):
         plan = GfGroupPlan(
@@ -274,8 +274,8 @@ class TestValidation:
                 PlanEntry(1, 1, FrameRole.ALTREF, 1, {"LAST": 0}),
             ],
         )
-        report = validate_plan(plan)
-        assert any(v.check == "decode_order" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "decode_order" for v in violations)
 
     def test_duplicate_display_flagged(self):
         plan = GfGroupPlan(
@@ -287,13 +287,13 @@ class TestValidation:
                 PlanEntry(2, 2, FrameRole.OVERLAY, 1, {}, show_existing=True),
             ],
         )
-        report = validate_plan(plan)
-        assert any(v.check == "coverage" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "coverage" for v in violations)
 
     def test_buffer_budget_enforced(self):
         plan = plan_group(16, "still")
-        report = validate_plan(plan, buffer_slots=2)
-        assert any(v.check == "buffer" for v in report.violations)
+        violations = validate_plan(plan, buffer_slots=2)
+        assert any(v.check == "buffer" for v in violations)
 
     def test_pyramid_role_in_flat_plan_flagged(self):
         plan = plan_group(4, "still")
@@ -301,8 +301,8 @@ class TestValidation:
             if e.role is FrameRole.REGULAR:
                 e.role = FrameRole.BWDREF
                 break
-        report = validate_plan(plan)
-        assert any(v.check == "structure" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "structure" for v in violations)
 
     def test_backward_slot_pointing_backwards_flagged(self):
         plan = plan_group(4, "non-still")
@@ -310,26 +310,26 @@ class TestValidation:
             if e.role is FrameRole.REGULAR:
                 e.refs["BWDREF"] = 0
                 break
-        report = validate_plan(plan)
-        assert any(v.check == "slot_direction" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "slot_direction" for v in violations)
 
     def test_forward_slot_pointing_forwards_flagged(self):
         plan = plan_group(4, "still")
         plan.entries[1].refs["LAST"] = 4
-        report = validate_plan(plan)
-        assert any(v.check == "slot_direction" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "slot_direction" for v in violations)
 
     def test_unknown_slot_flagged(self):
         plan = plan_group(4, "still")
         plan.entries[1].refs["LAST9"] = 0
-        report = validate_plan(plan)
-        assert any(v.check == "slot_direction" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "slot_direction" for v in violations)
 
     def test_gapped_encode_order_flagged(self):
         plan = plan_group(4, "still")
         plan.entries[-1].encode_order = 9
-        report = validate_plan(plan)
-        assert any(v.check == "decode_order" for v in report.violations)
+        violations = validate_plan(plan)
+        assert any(v.check == "decode_order" for v in violations)
 
 
 class TestPlanSequence:
@@ -342,7 +342,7 @@ class TestPlanSequence:
         assert r.plan.structure == SINGLE_LAYER
         assert r.metrics.zero_motion_accumulator == 1.0
         assert r.metrics.avg_pixel_error == 0.0
-        assert validate_plan(r.plan).ok
+        assert validate_plan(r.plan) == []
 
     def test_spliced_clip_plans_per_group(self):
         still = generate(SynthSpec("static", width=64, height=48, frame_count=17))

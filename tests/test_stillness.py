@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfstill.first_pass import FrameFirstPassStats
-from gfstill.gop_planner import GroupPlanResult, plan_group
+from gfstill.gop_planner import GroupPlanResult, dump_group_metrics, plan_group
 from gfstill.stillness import (
     GfGroupMetrics,
     StillnessThresholds,
     classify_stillness,
     compute_group_metrics,
-    dump_group_metrics,
     dump_metric_histograms,
     metric_histograms,
 )
