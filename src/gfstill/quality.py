@@ -186,8 +186,20 @@ def sequence_quality(ref: Sequence[Plane], dist: Sequence[Plane]) -> QualityRepo
     )
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_rd_csv(source: Union[str, Path, IO[str]]) -> RdCurve:
-    """Read `bitrate_kbps,quality` rows; a leading header row is skipped."""
+    """Read `bitrate_kbps,quality` rows; a leading header row is skipped.
+
+    A first row counts as a header only when none of its fields is a
+    number, so a data row with a typo in it is an error, not a header.
+    """
     own = isinstance(source, (str, Path))
     stream: IO[str] = open(source, "r", newline="") if own else source  # type: ignore[arg-type]
     try:
@@ -198,7 +210,7 @@ def load_rd_csv(source: Union[str, Path, IO[str]]) -> RdCurve:
             try:
                 pairs.append((float(row[0]), float(row[1])))
             except (ValueError, IndexError):
-                if lineno == 1:
+                if lineno == 1 and not any(map(_is_number, row)):
                     continue  # header row
                 raise ValueError(f"malformed RD row {lineno}: {row!r}") from None
     finally:

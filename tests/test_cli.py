@@ -268,6 +268,15 @@ class TestBdrateCommand:
         assert run("bdrate", base, str(bad)) == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_typo_in_first_row_is_io_error(self, tmp_path, capsys):
+        base = self._write(tmp_path, "base.csv", 1.0)
+        typo = tmp_path / "typo.csv"
+        typo.write_text("1O0,30\n200,33\n400,36\n800,39\n1600,42\n")
+        assert run("bdrate", base, str(typo)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gfstill: malformed RD row 1")
+
     @pytest.mark.parametrize(
         "rows",
         [

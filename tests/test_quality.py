@@ -259,6 +259,20 @@ class TestRdCsv:
         with pytest.raises(ValueError):
             load_rd_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "first_row",
+        ["1O0,30", "100,3O", "100", "kbps,33"],
+        ids=["letter-in-bitrate", "letter-in-quality", "one-field", "word-and-number"],
+    )
+    def test_first_row_with_a_number_is_data_not_header(self, first_row):
+        text = f"{first_row}\n200,33\n400,36\n800,39\n1600,42\n"
+        with pytest.raises(ValueError, match="malformed RD row 1"):
+            load_rd_csv(io.StringIO(text))
+
+    def test_word_only_header_is_skipped(self):
+        text = "rate,psnr,note\n100,30\n200,33\n400,36\n800,39\n"
+        assert len(load_rd_csv(io.StringIO(text)).points) == 4
+
     def test_path_round_trip(self, tmp_path):
         p = tmp_path / "curve.csv"
         p.write_text("bitrate_kbps,quality\n100,30\n200,33\n400,36\n800,39\n")
