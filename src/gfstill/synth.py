@@ -9,6 +9,7 @@ never matches itself under the zero vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,9 @@ class SynthSpec:
             raise ValueError(f"frames must be at least {MIN_DIMENSION} px each way")
         if self.frame_count < 2:
             raise ValueError("frame_count must be >= 2")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+        # written so that NaN fails: it compares False with anything
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -133,7 +135,8 @@ def generate(spec: SynthSpec) -> VideoSequence:
             )
     elif spec.kind == "pan":
         for f in range(n):
-            offset = int(round(spec.amplitude * f))
+            # past the frame width every offset gives the same frame
+            offset = int(round(min(spec.amplitude * f, w)))
             frames.append(_pan_frame(base, offset))
     elif spec.kind == "zoom":
         scale = 1.0

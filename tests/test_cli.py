@@ -61,6 +61,20 @@ class TestSynthCommand:
                    "--frames", "1") == 1
         assert "frame_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, amplitude",
+        [("zoom", "nan"), ("static_noise", "nan"), ("pan", "inf"), ("pan", "-inf")],
+    )
+    def test_non_finite_amplitude_is_usage_error(
+        self, tmp_path, capsys, kind, amplitude
+    ):
+        out = tmp_path / "x.y4m"
+        # joined with "=" so argparse does not read "-inf" as a flag
+        assert run("synth", str(out), "--kind", kind, f"--amplitude={amplitude}") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("gfstill: amplitude")
+        assert not out.exists()
+
     def test_unknown_kind_is_usage_error(self, tmp_path):
         assert run("synth", str(tmp_path / "x.y4m"), "--kind", "sparkle") == 1
 

@@ -24,6 +24,10 @@ class TestSpec:
             {"kind": "pan", "height": 15},
             {"kind": "pan", "frame_count": 1},
             {"kind": "pan", "amplitude": -1.0},
+            {"kind": "pan", "amplitude": float("nan")},
+            {"kind": "zoom", "amplitude": float("nan")},
+            {"kind": "static_noise", "amplitude": float("nan")},
+            {"kind": "pan", "amplitude": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -94,6 +98,14 @@ class TestKinds:
                                    amplitude=4.0))
         band = frames[2][:, :8]
         assert np.array_equal(band, np.repeat(frames[0][:, :1], 8, axis=1))
+
+    def test_pan_beyond_frame_width_repeats_edge_column(self):
+        for amplitude in (64.0, 1e300):
+            frames = _frames(SynthSpec("pan", width=64, height=48, frame_count=3,
+                                       amplitude=amplitude))
+            edge = np.repeat(frames[0][:, :1], 64, axis=1)
+            assert np.array_equal(frames[1], edge)
+            assert np.array_equal(frames[2], edge)
 
     def test_zoom_fixes_centre_and_moves_edges(self):
         frames = _frames(SynthSpec("zoom", width=65, height=49, frame_count=4,
