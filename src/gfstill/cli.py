@@ -55,13 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--block-size", type=int, default=SearchConfig.block_size, choices=BLOCK_SIZES
-    )
-    p.add_argument("--search-range", type=int, default=SearchConfig.search_range)
-    p.add_argument(
-        "--search-kind", default=SearchConfig.search_kind, choices=SEARCH_KINDS
-    )
+    cfg = SearchConfig()
+    p.add_argument("--block-size", type=int, default=cfg.block_size, choices=BLOCK_SIZES)
+    p.add_argument("--search-range", type=int, default=cfg.search_range)
+    p.add_argument("--search-kind", default=cfg.search_kind, choices=SEARCH_KINDS)
     p.add_argument(
         "--target-interval",
         type=int,

@@ -195,11 +195,8 @@ def _is_number(text: str) -> bool:
 
 
 def load_rd_csv(source: Union[str, Path, IO[str]]) -> RdCurve:
-    """Read `bitrate_kbps,quality` rows; a leading header row is skipped.
-
-    A first row counts as a header only when none of its fields is a
-    number, so a data row with a typo in it is an error, not a header.
-    """
+    """Read `bitrate_kbps,quality` rows; a first row in which no field is a
+    number is a header and is skipped."""
     own = isinstance(source, (str, Path))
     stream: IO[str] = open(source, "r", newline="") if own else source  # type: ignore[arg-type]
     try:
