@@ -205,7 +205,7 @@ def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
     ]
     coded = [0, interval]
     for kind, display, layer in events:
-        # refs go in in REF_SLOTS order, which plans_to_json writes as is
+        # refs are inserted in REF_SLOTS order; plans_to_json keeps that order
         refs = _nearest_past_refs(display, coded)
         if not still:
             future = [c for c in coded if c > display]

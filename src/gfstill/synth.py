@@ -42,7 +42,9 @@ class SynthSpec:
             raise ValueError("frame_count must be >= 2")
         # written so that NaN fails: it compares False with anything
         if not 0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+            raise ValueError(
+                f"amplitude must be finite and >= 0, got {self.amplitude}"
+            )
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
