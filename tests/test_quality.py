@@ -269,10 +269,6 @@ class TestRdCsv:
         with pytest.raises(ValueError, match="malformed RD row 1"):
             load_rd_csv(io.StringIO(text))
 
-    def test_word_only_header_is_skipped(self):
-        text = "rate,psnr,note\n100,30\n200,33\n400,36\n800,39\n"
-        assert len(load_rd_csv(io.StringIO(text)).points) == 4
-
     def test_path_round_trip(self, tmp_path):
         p = tmp_path / "curve.csv"
         p.write_text("bitrate_kbps,quality\n100,30\n200,33\n400,36\n800,39\n")
