@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from .first_pass import BLOCK_SIZES, SEARCH_KINDS, SearchConfig
 from .gop_planner import (
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[], help="per-group stillness metrics CSV")
-    p.add_argument("input")
+    p.add_argument("input", help="Y4M or raw .yuv clip; - reads standard input")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--histogram", default=None, help="also write histogram CSV here")
     p.add_argument(
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis_flags(p)
 
     p = sub.add_parser("plan", help="group coding-structure plans as JSON")
-    p.add_argument("input")
+    p.add_argument("input", help="Y4M or raw .yuv clip; - reads standard input")
     p.add_argument("-o", "--output", default=None)
     _add_analysis_flags(p)
 
@@ -121,12 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_sequence(path: str, args) -> VideoSequence:
+    source = sys.stdin.buffer if path == "-" else path
     raw_flags = args.width is not None or args.height is not None
     if path.endswith(".yuv") or raw_flags:
         if args.width is None or args.height is None:
             raise UsageError("raw input needs both --width and --height")
-        return load_yuv(path, args.width, args.height, args.chroma)
-    return load_y4m(path)
+        return load_yuv(source, args.width, args.height, args.chroma)
+    return load_y4m(source)
 
 
 @contextmanager
@@ -180,10 +181,11 @@ def cmd_analyze(args) -> int:
     if args.hist_bins < 1:
         raise UsageError("--hist-bins must be >= 1")
     results = _analysed_groups(args)
-    with _output(args.output) as out:
+    # the sidecar opens first, so a bad path fails before any output is written
+    hist = open(args.histogram, "w", newline="") if args.histogram else nullcontext()
+    with hist as hist_out, _output(args.output) as out:
         dump_group_metrics(results, out)
-    if args.histogram:
-        with open(args.histogram, "w", newline="") as hist_out:
+        if args.histogram:
             dump_metric_histograms(
                 [r.metrics for r in results], hist_out, bins=args.hist_bins
             )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -151,6 +152,17 @@ class TestAnalyzeCommand:
         assert run("analyze", static_clip, "--block-size", "8",
                    "--zm-min", "0.8") == 0
         assert "recalibrate" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "plan"])
+    def test_dash_reads_the_clip_from_stdin(
+        self, command, pan_clip, monkeypatch, capsys
+    ):
+        assert run(command, pan_clip) == 0
+        printed = capsys.readouterr().out
+        stdin = io.TextIOWrapper(io.BytesIO(Path(pan_clip).read_bytes()))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(command, "-") == 0
+        assert capsys.readouterr().out == printed
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("analyze", str(tmp_path / "absent.y4m")) == 2
@@ -341,6 +353,18 @@ class TestOutputFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("gfstill: ") and not out.parent.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_histogram_in_missing_directory_writes_nothing(
+        self, to_file, static_clip, tmp_path, capsys
+    ):
+        out = tmp_path / "out.csv"
+        hist = tmp_path / "missing_dir" / "h.csv"
+        argv = ["analyze", static_clip, "--histogram", str(hist)]
+        assert run(*argv, *(["-o", str(out)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gfstill: ") and not out.exists()
 
 
 class TestParsing:

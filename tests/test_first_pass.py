@@ -109,12 +109,17 @@ def _frames(content, height, width, seed):
         cur = ref.copy()
         cur[:, width // 2 + 5 :] = ref[:, width // 2 : -5]
         return np.stack([cur, ref])
+    if content == "moved":
+        # dense 0/255 texture moved a few px: a 32x32 block's zero-vector SSE
+        # nears 2**25, so n * SSE in the pruning bound overflows 32 bits
+        ref = ((rng.random(shape) < 0.5) * 255).astype(np.uint8)
+        return np.stack([np.roll(ref, rng.integers(1, 4, 2), axis=(0, 1)), ref])
     levels = rng.integers(0, 256, 2)
     return np.stack([np.full(shape, v, np.uint8) for v in levels])
 
 
 _frame_cases = st.tuples(
-    st.sampled_from(["random", "extremes", "binary", "constant", "shifted"]),
+    st.sampled_from(["random", "extremes", "binary", "constant", "shifted", "moved"]),
     st.integers(16, 80),
     st.integers(16, 80),
     st.integers(0, 2**32 - 1),
@@ -129,7 +134,8 @@ class TestOracleProperty:
         aligned=st.booleans(),
     )
     # a tie between two nonzero vectors, a padded frame at the widest range,
-    # a half-still half-shifted frame, and the narrowest range
+    # a half-still half-shifted frame, the narrowest range, and a moved frame
+    # whose pruning bound needs 64 bits
     @example(
         case=("binary", 24, 24, 2), block_size=8, search_range=2, aligned=False
     )
@@ -140,6 +146,7 @@ class TestOracleProperty:
         case=("shifted", 48, 80, 5), block_size=8, search_range=8, aligned=True
     )
     @example(case=("shifted", 40, 56, 3), block_size=8, search_range=1, aligned=False)
+    @example(case=("moved", 64, 96, 0), block_size=32, search_range=8, aligned=True)
     @settings(max_examples=25, deadline=None)
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
     def test_every_block_matches_oracle(
