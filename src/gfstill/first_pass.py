@@ -158,28 +158,23 @@ def motion_search(
         bound = d[:, 0::2] + d[:, 1::2]
         sub_best = best[b0:b1, c0:c1]
         live = bound < n * sub_best
-        count = np.count_nonzero(live)
-        if not count:
-            continue
-        sub_mv = mv[b0:b1, c0:c1]
-        if 2 * count > live.size:
-            # most blocks survive: the whole-grid SSE is cheaper than a gather
-            sse = block_sse(dx, dy)[1]
-            better = sse < sub_best
-            sub_best[better] = sse[better]
-            sub_mv[better] = dx, dy
-            continue
         bi, ci = np.nonzero(live)
-        window = ref_i[y0 : b1 * bs + dy, x0 : c1 * bs + dx].reshape(
-            b1 - b0, bs, c1 - c0, bs
-        )
-        diff = cur_blocks[bi + b0, :, ci + c0] - window[bi, :, ci]
-        diff *= diff
-        sse = diff.sum(axis=(1, 2), dtype=np.int32)
+        if not bi.size:
+            continue
+        if 2 * bi.size > live.size:
+            # most blocks survive: the whole-grid SSE is cheaper than a gather
+            sse = block_sse(dx, dy)[1][bi, ci]
+        else:
+            window = ref_i[y0 : b1 * bs + dy, x0 : c1 * bs + dx].reshape(
+                b1 - b0, bs, c1 - c0, bs
+            )
+            diff = cur_blocks[bi + b0, :, ci + c0] - window[bi, :, ci]
+            diff *= diff
+            sse = diff.sum(axis=(1, 2), dtype=np.int32)
         better = sse < sub_best[bi, ci]
         bi, ci = bi[better], ci[better]
         sub_best[bi, ci] = sse[better]
-        sub_mv[bi, ci] = dx, dy
+        mv[bi + b0, ci + c0] = dx, dy
     return mv, best, zero
 
 
