@@ -51,7 +51,6 @@ from .video_io import (
     Y4mError,
     load_y4m,
     load_yuv,
-    serialize_y4m,
     write_y4m,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "psnr",
     "segment_groups",
     "sequence_quality",
-    "serialize_y4m",
     "ssim",
     "validate_plan",
     "write_y4m",

@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis_flags(p)
 
     p = sub.add_parser("quality", help="per-frame PSNR/SSIM CSV")
-    p.add_argument("reference")
-    p.add_argument("distorted")
+    p.add_argument("reference", help="Y4M clip; - reads standard input")
+    p.add_argument("distorted", help="Y4M clip; - reads standard input")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("bdrate", help="BD-rate between two RD CSV files")
@@ -120,8 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _source(path: str):
+    return sys.stdin.buffer if path == "-" else path
+
+
 def _load_sequence(path: str, args) -> VideoSequence:
-    source = sys.stdin.buffer if path == "-" else path
+    source = _source(path)
     raw_flags = args.width is not None or args.height is not None
     if path.endswith(".yuv") or raw_flags:
         if args.width is None or args.height is None:
@@ -210,9 +214,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    ref = load_y4m(args.reference)
-    dist = load_y4m(args.distorted)
-    report = sequence_quality(ref.frames, dist.frames)
+    if args.reference == args.distorted == "-":
+        raise UsageError("standard input can feed only one of the two clips")
+    ref = load_y4m(_source(args.reference))
+    dist = load_y4m(_source(args.distorted))
+    report = sequence_quality(
+        [f.samples for f in ref.frames], [f.samples for f in dist.frames]
+    )
     with _output(args.output) as out:
         out.write("frame,psnr_db,ssim\n")
         for i, (p, s) in enumerate(zip(report.psnr_db, report.ssim)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video_io import Plane, _as_samples
+from .video_io import check_luma
 
 BLOCK_SIZES = (8, 16, 32)
 SEARCH_KINDS = ("exhaustive", "diamond")
@@ -74,25 +74,28 @@ def _nonzero_candidates(ry: int, rx: int):
 
 
 def motion_search(
-    cur: Plane, ref: Plane, cfg: SearchConfig | None = None
+    cur: np.ndarray, ref: np.ndarray, cfg: SearchConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Search the reference for the best integer-pel match of every block.
 
-    Both frames are edge-padded to the block grid.  Candidates whose window
-    would leave the padded frame are skipped; the zero vector is always a
-    candidate, so best_sse <= zero_mv_sse.  Ties are broken by lower SSE,
-    then smaller |dx|+|dy|, then smaller dy, then smaller dx, which makes
-    the result order-independent.  The exhaustive search tries every vector
-    in range, the diamond search stops where a diamond walk from (0, 0) does.
+    Both frames, 2-D uint8 arrays of one shape, are edge-padded to the
+    block grid.  Candidates whose window would leave the padded frame are
+    skipped; the zero vector is always a candidate, so best_sse <=
+    zero_mv_sse.  Ties are broken by lower SSE, then smaller |dx|+|dy|, then
+    smaller dy, then smaller dx, which makes the result order-independent.
+    The exhaustive search tries every vector in range, the diamond search
+    stops where a diamond walk from (0, 0) does.
 
     Returns int64 arrays (mv, best_sse, zero_mv_sse) of shapes
     (rows, cols, 2), (rows, cols) and (rows, cols); mv[..., 0] is dx and
     mv[..., 1] is dy.
     """
+    check_luma(cur)
+    check_luma(ref)
     cfg = cfg or SearchConfig()
     bs, r = cfg.block_size, cfg.search_range
-    cur_s = pad_to_block_grid(_as_samples(cur), bs)
-    ref_s = pad_to_block_grid(_as_samples(ref), bs)
+    cur_s = pad_to_block_grid(cur, bs)
+    ref_s = pad_to_block_grid(ref, bs)
     if cur_s.shape != ref_s.shape:
         raise ValueError("current and reference frames differ in size")
     h, w = cur_s.shape
@@ -252,8 +255,8 @@ def _diamond_walk(
 
 
 def analyze_frame(
-    cur: Plane,
-    prev: Plane,
+    cur: np.ndarray,
+    prev: np.ndarray,
     cfg: SearchConfig | None = None,
     frame_index: int = 1,
 ) -> FrameFirstPassStats:
@@ -267,7 +270,7 @@ def analyze_frame(
     cfg = cfg or SearchConfig()
     bs = cfg.block_size
     mv, best, zero = motion_search(cur, prev, cfg)
-    samples = pad_to_block_grid(_as_samples(cur), bs).astype(np.int32, order="C")
+    samples = pad_to_block_grid(cur, bs).astype(np.int32, order="C")
     total = _block_sums(samples, bs).astype(np.int64)
     samples *= samples  # a 32x32 block of squares stays below 2**31
     total_sq = _block_sums(samples, bs).astype(np.int64)

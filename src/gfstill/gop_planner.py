@@ -398,8 +398,8 @@ def plan_sequence(
     for gid, (start, interval) in enumerate(groups, start=1):
         stats = [
             analyze_frame(
-                sequence.frames[d],
-                sequence.frames[d - 1],
+                sequence.frames[d].samples,
+                sequence.frames[d - 1].samples,
                 cfg,
                 frame_index=d - start + 1,
             )

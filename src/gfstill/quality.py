@@ -1,8 +1,9 @@
 """Objective quality: PSNR, single-scale SSIM, BD-rate between RD curves.
 
-All metrics operate on 8-bit luma.  Sequence scores are plain arithmetic
-means of per-frame scores.  SSIM's 11x11 Gaussian window is separable, so
-each window mean is a row pass and a column pass of one 11-tap filter.
+All metrics operate on 8-bit luma given as 2-D uint8 arrays.  Sequence
+scores are plain arithmetic means of per-frame scores.  SSIM's 11x11
+Gaussian window is separable, so each window mean is a row pass and a
+column pass of one 11-tap filter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .video_io import Plane, _as_samples
+from .video_io import check_luma
 
 PEAK = 255.0
 PSNR_CAP_DB = 100.0
@@ -28,23 +29,23 @@ SSIM_K2 = 0.03
 
 BD_FIT_DEGREE = 3
 
-def _check_pair(a: Plane, b: Plane, minimum: int) -> tuple[np.ndarray, np.ndarray]:
-    sa, sb = _as_samples(a), _as_samples(b)
-    if sa.shape != sb.shape:
-        raise ValueError(f"frame dimensions differ: {sa.shape} vs {sb.shape}")
-    if min(sa.shape) < minimum:
+def _check_pair(a: np.ndarray, b: np.ndarray, minimum: int) -> None:
+    check_luma(a)
+    check_luma(b)
+    if a.shape != b.shape:
+        raise ValueError(f"frame dimensions differ: {a.shape} vs {b.shape}")
+    if min(a.shape) < minimum:
         raise ValueError(f"frames must be at least {minimum}x{minimum}")
-    return sa, sb
 
 
-def psnr(a: Plane, b: Plane) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; identical frames return the cap."""
-    sa, sb = _check_pair(a, b, 1)
-    diff = sa.astype(np.int64) - sb.astype(np.int64)
+    _check_pair(a, b, 1)
+    diff = a.astype(np.int64) - b.astype(np.int64)
     sse = int(np.einsum("ij,ij->", diff, diff))
     if sse == 0:
         return PSNR_CAP_DB
-    mse = sse / sa.size
+    mse = sse / a.size
     return 10.0 * math.log10(PEAK * PEAK / mse)
 
 
@@ -64,16 +65,16 @@ def _window_means(p: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, SSIM_WINDOW, axis=0) @ _SSIM_TAPS
 
 
-def ssim(a: Plane, b: Plane) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity over all fully interior 11x11 windows.
 
     Gaussian-weighted window statistics (sigma 1.5), stabilisers
     C1 = (K1*255)^2 and C2 = (K2*255)^2, no padding: windows that would
     stick out of the frame are simply not evaluated.
     """
-    sa, sb = _check_pair(a, b, SSIM_WINDOW)
-    x = sa.astype(np.float64)
-    y = sb.astype(np.float64)
+    _check_pair(a, b, SSIM_WINDOW)
+    x = a.astype(np.float64)
+    y = b.astype(np.float64)
     c1 = (SSIM_K1 * PEAK) ** 2
     c2 = (SSIM_K2 * PEAK) ** 2
 
@@ -170,7 +171,9 @@ class QualityReport:
     avg_ssim: float
 
 
-def sequence_quality(ref: Sequence[Plane], dist: Sequence[Plane]) -> QualityReport:
+def sequence_quality(
+    ref: Sequence[np.ndarray], dist: Sequence[np.ndarray]
+) -> QualityReport:
     """Per-frame PSNR/SSIM plus their arithmetic means."""
     if len(ref) != len(dist):
         raise ValueError(f"frame counts differ: {len(ref)} vs {len(dist)}")

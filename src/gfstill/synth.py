@@ -151,6 +151,4 @@ def generate(spec: SynthSpec) -> VideoSequence:
         frames = [base.copy() for _ in range(half)]
         frames += [other.copy() for _ in range(n - half)]
 
-    planes = [FramePlane(w, h, fr) for fr in frames]
-    name = f"synth-{spec.kind}-{w}x{h}-n{n}-a{spec.amplitude}-s{spec.seed}"
-    return VideoSequence(planes, (30, 1), name)
+    return VideoSequence([FramePlane(fr) for fr in frames])

@@ -7,7 +7,6 @@ neutral chroma, so a load/write/load cycle preserves luma exactly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Union
@@ -36,37 +35,32 @@ class Y4mError(ValueError):
         self.offset = offset
 
 
+def check_luma(plane: np.ndarray) -> None:
+    """Raise ValueError unless `plane` is a 2-D uint8 array.  Nothing is
+    cast: a cast would wrap out-of-range values into plausible samples."""
+    if isinstance(plane, np.ndarray):
+        if plane.dtype == np.uint8 and plane.ndim == 2:
+            return
+        got = f"a {plane.ndim}-D {plane.dtype} array"
+    else:
+        got = type(plane).__name__
+    raise ValueError(f"a frame must be a 2-D uint8 array, got {got}")
+
+
 @dataclass(eq=False)
 class FramePlane:
-    """A single 8-bit luma plane, row-major, at least 16x16."""
+    """A single 8-bit luma plane: a 2-D uint8 array at least 16x16."""
 
-    width: int
-    height: int
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.width < MIN_DIMENSION or self.height < MIN_DIMENSION:
+        check_luma(self.samples)
+        h, w = self.samples.shape
+        if w < MIN_DIMENSION or h < MIN_DIMENSION:
             raise ValueError(
                 f"frame must be at least {MIN_DIMENSION}x{MIN_DIMENSION}, "
-                f"got {self.width}x{self.height}"
+                f"got {w}x{h}"
             )
-        arr = np.asarray(self.samples)
-        if arr.dtype != np.uint8:
-            if arr.size and (arr.min() < 0 or arr.max() > 255):
-                raise ValueError("luma samples must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
-        if arr.ndim == 1:
-            arr = arr.reshape(self.height, self.width)
-        if arr.shape != (self.height, self.width):
-            raise ValueError(
-                f"sample buffer shape {arr.shape} does not match "
-                f"{self.width}x{self.height}"
-            )
-        self.samples = arr
-
-    @property
-    def pixels(self) -> int:
-        return self.width * self.height
 
 
 @dataclass
@@ -75,53 +69,37 @@ class VideoSequence:
 
     frames: list[FramePlane]
     frame_rate: tuple[int, int] = (30, 1)
-    source_name: str = ""
 
     def __post_init__(self):
         if not self.frames:
             raise ValueError("a video sequence needs at least one frame")
-        w, h = self.frames[0].width, self.frames[0].height
+        h, w = self.frames[0].samples.shape
         for i, f in enumerate(self.frames):
-            if (f.width, f.height) != (w, h):
-                raise ValueError(
-                    f"frame {i} is {f.width}x{f.height}, expected {w}x{h}"
-                )
+            fh, fw = f.samples.shape
+            if (fh, fw) != (h, w):
+                raise ValueError(f"frame {i} is {fw}x{fh}, expected {w}x{h}")
         num, den = self.frame_rate
         if num <= 0 or den <= 0:
             raise ValueError("frame rate must be a positive rational")
 
     @property
     def width(self) -> int:
-        return self.frames[0].width
+        return self.frames[0].samples.shape[1]
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
-
-    @property
-    def fps(self) -> float:
-        return self.frame_rate[0] / self.frame_rate[1]
-
-
-Plane = Union[FramePlane, np.ndarray]
-
-
-def _as_samples(plane: Plane) -> np.ndarray:
-    if isinstance(plane, FramePlane):
-        return plane.samples
-    return np.asarray(plane, dtype=np.uint8)
+        return self.frames[0].samples.shape[0]
 
 
 Source = Union[str, Path, bytes, BinaryIO]
 
 
-def _read_all(source: Source) -> tuple[bytes, str]:
+def _read_all(source: Source) -> bytes:
     if isinstance(source, bytes):
-        return source, ""
+        return source
     if isinstance(source, (str, Path)):
-        return Path(source).read_bytes(), str(source)
-    data = source.read()
-    return data, getattr(source, "name", "") or ""
+        return Path(source).read_bytes()
+    return source.read()
 
 
 def _chroma_dims(width: int, height: int, chroma: str) -> tuple[int, int]:
@@ -145,7 +123,7 @@ def load_y4m(source: Source) -> VideoSequence:
     rates and truncated payloads raise Y4mError with the byte offset of
     the problem.
     """
-    data, name = _read_all(source)
+    data = _read_all(source)
     if not data.startswith(Y4M_SIGNATURE):
         raise Y4mError("malformed YUV4MPEG2 signature", 0)
     header_end = data.find(b"\n")
@@ -217,12 +195,12 @@ def load_y4m(source: Source) -> VideoSequence:
                 payload,
             )
         luma = np.frombuffer(data, np.uint8, luma_size, payload)
-        frames.append(FramePlane(width, height, luma.reshape(height, width).copy()))
+        frames.append(FramePlane(luma.reshape(height, width).copy()))
         pos = payload + need
 
     if not frames:
         raise Y4mError("stream contains no frames", pos)
-    return VideoSequence(frames, rate, name)
+    return VideoSequence(frames, rate)
 
 
 def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> VideoSequence:
@@ -234,7 +212,7 @@ def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> Vi
             f"raw frames must be at least {MIN_DIMENSION}x{MIN_DIMENSION}, "
             f"got {width}x{height}"
         )
-    data, name = _read_all(source)
+    data = _read_all(source)
     cw, ch = _chroma_dims(width, height, chroma)
     frame_size = width * height + 2 * cw * ch
     count, leftover = divmod(len(data), frame_size)
@@ -248,8 +226,8 @@ def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> Vi
     frames = []
     for i in range(count):
         luma = np.frombuffer(data, np.uint8, width * height, i * frame_size)
-        frames.append(FramePlane(width, height, luma.reshape(height, width).copy()))
-    return VideoSequence(frames, source_name=name)
+        frames.append(FramePlane(luma.reshape(height, width).copy()))
+    return VideoSequence(frames)
 
 
 def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:
@@ -277,10 +255,3 @@ def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:
         if own:
             out.close()
     return written
-
-
-def serialize_y4m(sequence: VideoSequence) -> bytes:
-    """In-memory write_y4m, handy for round-trip checks."""
-    buf = io.BytesIO()
-    write_y4m(sequence, buf)
-    return buf.getvalue()

@@ -8,12 +8,13 @@ windows one by one.  They define what the fast implementations must match.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 import pytest
 
-from gfstill.video_io import FramePlane
+from gfstill.video_io import VideoSequence, write_y4m
 
 
 def brute_force_block_search(
@@ -153,10 +154,27 @@ def psnr_oracle(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(255.0**2 / (total / (h * w)))
 
 
-def random_plane(rng: np.random.Generator, width: int, height: int) -> FramePlane:
-    return FramePlane(
-        width, height, rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-    )
+def random_plane(rng: np.random.Generator, width: int, height: int) -> np.ndarray:
+    return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+
+
+def serialize_y4m(sequence: VideoSequence) -> bytes:
+    """In-memory write_y4m, handy for round-trip checks."""
+    buf = io.BytesIO()
+    write_y4m(sequence, buf)
+    return buf.getvalue()
+
+
+# frames that are not 2-D uint8 arrays; a cast would wrap the out-of-range
+# values into plausible samples, so each must be refused as it is
+NOT_LUMA = [
+    pytest.param(np.full((32, 32), 300), id="int64-300"),
+    pytest.param(np.full((32, 32), -1, np.int32), id="int32-minus-1"),
+    pytest.param(np.full((32, 32), 44, np.int32), id="int32-in-range"),
+    pytest.param(np.full((32, 32), 44.0), id="float64"),
+    pytest.param([[44] * 32] * 32, id="nested-list"),
+    pytest.param(np.full(32 * 32, 44, np.uint8), id="1-D"),
+]
 
 
 @pytest.fixture

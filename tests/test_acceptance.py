@@ -32,9 +32,9 @@ from gfstill.stillness import (
     compute_group_metrics,
 )
 from gfstill.synth import SynthSpec, generate
-from gfstill.video_io import serialize_y4m, write_y4m
+from gfstill.video_io import write_y4m
 
-from conftest import brute_force_block_search
+from conftest import brute_force_block_search, serialize_y4m
 from test_gop_planner import max_live_references
 from test_stillness import _stats
 

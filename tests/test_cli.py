@@ -13,7 +13,7 @@ import gfstill
 
 from gfstill.cli import main
 from gfstill.synth import SynthSpec, generate
-from gfstill.video_io import load_y4m, serialize_y4m, write_y4m
+from gfstill.video_io import load_y4m, write_y4m
 
 
 def run(*argv):
@@ -262,6 +262,27 @@ class TestQualityCommand:
         write_y4m(generate(SynthSpec("static", width=32, height=32,
                                      frame_count=17)), other)
         assert run("quality", static_clip, str(other)) == 2
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_dash_reads_one_clip_from_stdin(
+        self, which, static_clip, pan_clip, monkeypatch, capsys
+    ):
+        clips = [static_clip, pan_clip]
+        assert run("quality", *clips) == 0
+        printed = capsys.readouterr().out
+        stdin = io.TextIOWrapper(io.BytesIO(Path(clips[which]).read_bytes()))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        clips[which] = "-"
+        assert run("quality", *clips) == 0
+        assert capsys.readouterr().out == printed
+
+    def test_dash_for_both_clips_is_usage_error(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(b"YUV4MPEG2"))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run("quality", "-", "-") == 1
+        assert stdin.buffer.tell() == 0  # refused before anything was read
+        captured = capsys.readouterr()
+        assert captured.out == "" and "standard input" in captured.err
 
 
 class TestBdrateCommand:

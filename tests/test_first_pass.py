@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NOT_LUMA,
     brute_force_block_search,
     brute_force_diamond_search,
     random_plane,
@@ -20,7 +21,7 @@ from gfstill.synth import SynthSpec, generate
 
 
 def _textured(width=64, height=48, seed=11):
-    return generate(SynthSpec("static", width, height, 2, seed=seed)).frames[0]
+    return generate(SynthSpec("static", width, height, 2, seed=seed)).frames[0].samples
 
 
 def _assert_matches_oracle(cur, ref, cfg):
@@ -47,7 +48,7 @@ class TestBlockSearch:
         assert not mv.any() and not best.any() and not zero.any()
 
     def test_known_horizontal_shift_recovered(self):
-        base = _textured(96, 48).samples
+        base = _textured(96, 48)
         shifted = np.empty_like(base)
         shifted[:, 2:] = base[:, :-2]
         shifted[:, :2] = base[:, :1]
@@ -59,14 +60,14 @@ class TestBlockSearch:
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(5):
-            cur = random_plane(rng, 64, 48).samples
-            ref = random_plane(rng, 64, 48).samples
+            cur = random_plane(rng, 64, 48)
+            ref = random_plane(rng, 64, 48)
             _assert_matches_oracle(cur, ref, SearchConfig())
 
     def test_oracle_agreement_other_configs(self, rng):
         for bs, r in ((8, 4), (32, 8), (16, 3)):
-            cur = random_plane(rng, 64, 64).samples
-            ref = random_plane(rng, 64, 64).samples
+            cur = random_plane(rng, 64, 64)
+            ref = random_plane(rng, 64, 64)
             _assert_matches_oracle(cur, ref, SearchConfig(bs, r))
 
     def test_zero_vector_is_always_a_candidate(self, rng):
@@ -84,6 +85,16 @@ class TestBlockSearch:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             motion_search(_textured(64, 48), _textured(80, 48))
+
+    @pytest.mark.parametrize("bad", NOT_LUMA)
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    def test_rejects_frames_that_are_not_2d_uint8(self, bad, kind):
+        # a wrapping cast read 256 as 0, so this pair reported best SSE 0
+        good = np.zeros((32, 32), np.uint8)
+        cfg = SearchConfig(search_kind=kind)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="2-D uint8"):
+                motion_search(*pair, cfg)
 
 
 def _frames(content, height, width, seed):
@@ -210,7 +221,7 @@ class TestDiamond:
         assert not mv.any() and not best.any() and not zero.any()
 
     def test_tracks_clean_shifts(self):
-        base = _textured(96, 64).samples
+        base = _textured(96, 64)
         shifted = np.empty_like(base)
         shifted[:, 3:] = base[:, :-3]
         shifted[:, :3] = base[:, :1]
@@ -235,7 +246,7 @@ class TestPadding:
         assert pad_to_block_grid(arr, 16) is arr
 
     def test_padded_blocks_participate(self):
-        plane = generate(SynthSpec("static", 70, 50, 2, seed=3)).frames[0]
+        plane = generate(SynthSpec("static", 70, 50, 2, seed=3)).frames[0].samples
         stats = analyze_frame(plane, plane)
         assert stats.block_count == (80 // 16) * (64 // 16)
         assert stats.pcnt_zero_motion == 1.0
@@ -264,7 +275,7 @@ class TestFrameStats:
         # zero-variance blocks have intra proxy 0; any positive inter error
         # loses to it, so nothing is inter and the zero-motion share is 0
         flat = np.full((48, 64), 128, np.uint8)
-        noise = random_plane(rng, 64, 48).samples
+        noise = random_plane(rng, 64, 48)
         stats = analyze_frame(flat, noise)
         assert stats.inter_count == 0
         assert stats.pcnt_zero_motion == 0.0
@@ -287,7 +298,7 @@ class TestFrameStats:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_stats_invariant_under_brightness_shift(self):
-        base = _textured(64, 48, seed=5).samples
+        base = _textured(64, 48, seed=5)
         # keep headroom so adding the offset cannot clip
         cur = np.clip(base, 0, 200)
         prev = np.roll(np.clip(base, 0, 200), 1, axis=1)
@@ -301,6 +312,13 @@ class TestFrameStats:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             analyze_frame(_textured(64, 48), _textured(64, 64))
+
+    @pytest.mark.parametrize("bad", NOT_LUMA)
+    def test_rejects_frames_that_are_not_2d_uint8(self, bad):
+        good = np.zeros((32, 32), np.uint8)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="2-D uint8"):
+                analyze_frame(*pair)
 
 
 class TestSearchConfig:

@@ -19,7 +19,7 @@ from gfstill.quality import (
     ssim,
 )
 
-from conftest import psnr_oracle, random_plane, ssim_oracle
+from conftest import NOT_LUMA, psnr_oracle, random_plane, ssim_oracle
 
 
 class TestPsnr:
@@ -38,7 +38,7 @@ class TestPsnr:
             a = random_plane(rng, 48, 32)
             b = random_plane(rng, 48, 32)
             assert psnr(a, b) == pytest.approx(
-                psnr_oracle(a.samples, b.samples), abs=1e-9
+                psnr_oracle(a, b), abs=1e-9
             )
 
     def test_symmetry(self, rng):
@@ -54,6 +54,15 @@ class TestPsnr:
         a = np.zeros((16, 16), np.uint8)
         b = np.full((16, 16), 255, np.uint8)
         assert psnr(a, b) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", NOT_LUMA)
+    def test_rejects_frames_that_are_not_2d_uint8(self, bad):
+        # a wrapping cast made 300 read as 44, so this pair scored the
+        # 100 dB "identical" cap
+        good = np.full((32, 32), 44, np.uint8)
+        for pair in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="2-D uint8"):
+                psnr(*pair)
 
 
 class TestSsim:
@@ -73,7 +82,7 @@ class TestSsim:
             a = random_plane(rng, 24, 20)
             b = random_plane(rng, 24, 20)
             assert ssim(a, b) == pytest.approx(
-                ssim_oracle(a.samples, b.samples), abs=1e-9
+                ssim_oracle(a, b), abs=1e-9
             )
 
     def test_symmetry_is_exact(self, rng):
@@ -82,7 +91,7 @@ class TestSsim:
         assert ssim(a, b) == ssim(b, a)
 
     def test_noise_scores_below_clean(self, rng):
-        base = random_plane(rng, 48, 48).samples
+        base = random_plane(rng, 48, 48)
         noisy = base.astype(np.int16) + rng.integers(-20, 21, base.shape)
         noisy = np.clip(noisy, 0, 255).astype(np.uint8)
         assert ssim(base, noisy) < 0.99
@@ -90,6 +99,14 @@ class TestSsim:
     def test_too_small_frames_rejected(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((10, 16), np.uint8), np.zeros((10, 16), np.uint8))
+
+    @pytest.mark.parametrize("bad", NOT_LUMA)
+    def test_rejects_frames_that_are_not_2d_uint8(self, bad):
+        # a wrapping cast read an all -1 plane as all 255
+        good = np.full((32, 32), 44, np.uint8)
+        for pair in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="2-D uint8"):
+                ssim(*pair)
 
 
 def _ssim_pair(content, height, width, seed):
@@ -217,7 +234,7 @@ class TestBdRate:
 
 class TestSequenceQuality:
     def test_report_shape_and_means(self, rng):
-        ref = [random_plane(rng, 32, 24).samples for _ in range(3)]
+        ref = [random_plane(rng, 32, 24) for _ in range(3)]
         dist = [
             np.clip(f.astype(np.int16) + 2, 0, 255).astype(np.uint8) for f in ref
         ]
@@ -238,6 +255,11 @@ class TestSequenceQuality:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sequence_quality([], [])
+
+    def test_rejects_frames_that_are_not_2d_uint8(self, rng):
+        ref = [random_plane(rng, 32, 24)]
+        with pytest.raises(ValueError, match="2-D uint8"):
+            sequence_quality(ref, [ref[0].astype(np.int16)])
 
 
 class TestRdCsv:

@@ -121,11 +121,6 @@ class TestKinds:
         assert np.array_equal(frames[3], frames[5])
         assert not np.array_equal(frames[2], frames[3])
 
-    def test_source_name_encodes_spec(self):
-        seq = generate(SynthSpec("pan", width=64, height=48, frame_count=5,
-                                 amplitude=2.0, seed=9))
-        assert seq.source_name == "synth-pan-64x48-n5-a2.0-s9"
-
 
 class TestClassificationIntegration:
     def test_static_clip_is_still(self):
