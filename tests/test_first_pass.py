@@ -89,7 +89,8 @@ class TestBlockSearch:
     @pytest.mark.parametrize("bad", NOT_LUMA)
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
     def test_rejects_frames_that_are_not_2d_uint8(self, bad, kind):
-        # a wrapping cast read 256 as 0, so this pair reported best SSE 0
+        # a wrapping cast read 256 as 0, so an all-256 plane against zeros
+        # reported best SSE 0
         good = np.zeros((32, 32), np.uint8)
         cfg = SearchConfig(search_kind=kind)
         for pair in ((bad, good), (good, bad)):

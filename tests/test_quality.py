@@ -57,8 +57,8 @@ class TestPsnr:
 
     @pytest.mark.parametrize("bad", NOT_LUMA)
     def test_rejects_frames_that_are_not_2d_uint8(self, bad):
-        # a wrapping cast made 300 read as 44, so this pair scored the
-        # 100 dB "identical" cap
+        # a wrapping cast read 300 as 44, so an all-300 plane against all 44
+        # scored the 100 dB "identical" cap
         good = np.full((32, 32), 44, np.uint8)
         for pair in ((bad, good), (good, bad), (bad, bad)):
             with pytest.raises(ValueError, match="2-D uint8"):

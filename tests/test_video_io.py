@@ -211,10 +211,14 @@ class TestRawYuv:
 
 
 class TestTypes:
-    @pytest.mark.parametrize("shape", [(8, 8), (15, 64), (48, 15)])
-    def test_frame_plane_rejects_small(self, shape):
-        with pytest.raises(ValueError, match="at least 16x16"):
-            FramePlane(np.zeros(shape, np.uint8))
+    def test_frame_plane_rejects_small(self):
+        for shape in ((8, 8), (15, 64), (48, 15)):
+            with pytest.raises(ValueError, match="at least 16x16"):
+                FramePlane(np.zeros(shape, np.uint8))
+
+    def test_frame_plane_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="2-D uint8"):
+            FramePlane(np.full((16, 16), 300, np.int32))
 
     @pytest.mark.parametrize("bad", NOT_LUMA)
     def test_frame_plane_rejects_non_luma(self, bad):
