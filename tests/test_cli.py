@@ -164,6 +164,51 @@ class TestAnalyzeCommand:
         assert run(command, "-") == 0
         assert capsys.readouterr().out == printed
 
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["path", "stdin"])
+    def test_huge_declared_size_is_truncated_payload(
+        self, from_stdin, tmp_path, monkeypatch, capsys
+    ):
+        # the declared frame is ~15 PB; the reader must compare it with the
+        # bytes present instead of allocating it
+        header = b"YUV4MPEG2 W99999999 H99999999 F25:1 C420\n"
+        data = header + b"FRAME\n" + bytes(64)
+        clip = tmp_path / "huge.y4m"
+        clip.write_bytes(data)
+        if from_stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run("analyze", "-" if from_stdin else str(clip)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "truncated frame payload" in err
+        assert f"(byte offset {len(header) + 6})" in err
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["y4m", "yuv"])
+    def test_dash_reads_a_real_pipe(self, raw, pan_clip, tmp_path):
+        clip = Path(pan_clip)
+        flags = []
+        if raw:
+            seq = load_y4m(clip)
+            clip = tmp_path / "pan.yuv"
+            chroma = bytes([128]) * (seq.width // 2 * seq.height // 2 * 2)
+            clip.write_bytes(b"".join(f.samples.tobytes() + chroma for f in seq.frames))
+            flags = ["--width", str(seq.width), "--height", str(seq.height)]
+        env = dict(os.environ)
+        package_root = str(Path(gfstill.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        argv = [sys.executable, "-m", "gfstill.cli", "analyze"]
+        by_path = subprocess.run(
+            [*argv, str(clip), *flags], env=env, capture_output=True, timeout=120
+        )
+        # `input=` feeds the child's stdin through an OS pipe
+        piped = subprocess.run(
+            [*argv, "-", *flags], env=env, input=clip.read_bytes(),
+            capture_output=True, timeout=120,
+        )
+        assert by_path.returncode == piped.returncode == 0, piped.stderr
+        assert by_path.stdout and piped.stdout == by_path.stdout
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("analyze", str(tmp_path / "absent.y4m")) == 2
 
