@@ -30,7 +30,7 @@ from .stillness import (
     dump_metric_histograms,
 )
 from .synth import SYNTH_KINDS, SynthSpec, generate
-from .video_io import VideoSequence, Y4mError, load_y4m, load_yuv, write_y4m
+from .video_io import RAW_CHROMA, VideoSequence, Y4mError, load_y4m, load_yuv, write_y4m
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,7 +78,7 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--width", type=int, default=None, help="raw .yuv width")
     p.add_argument("--height", type=int, default=None, help="raw .yuv height")
-    p.add_argument("--chroma", default="420", choices=("420", "444"))
+    p.add_argument("--chroma", default=RAW_CHROMA[0], choices=RAW_CHROMA)
 
 
 def build_parser() -> argparse.ArgumentParser:

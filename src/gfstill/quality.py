@@ -17,7 +17,7 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .video_io import check_luma
+from .video_io import _opened, check_luma
 
 PEAK = 255.0
 PSNR_CAP_DB = 100.0
@@ -200,10 +200,8 @@ def _is_number(text: str) -> bool:
 def load_rd_csv(source: Union[str, Path, IO[str]]) -> RdCurve:
     """Read `bitrate_kbps,quality` rows; a first row in which no field is a
     number is a header and is skipped."""
-    own = isinstance(source, (str, Path))
-    stream: IO[str] = open(source, "r", newline="") if own else source  # type: ignore[arg-type]
-    try:
-        pairs = []
+    pairs = []
+    with _opened(source, "r", newline="") as stream:
         for lineno, row in enumerate(csv.reader(stream), start=1):
             if not row or not "".join(row).strip():
                 continue
@@ -213,7 +211,4 @@ def load_rd_csv(source: Union[str, Path, IO[str]]) -> RdCurve:
                 if lineno == 1 and not any(map(_is_number, row)):
                     continue  # header row
                 raise ValueError(f"malformed RD row {lineno}: {row!r}") from None
-    finally:
-        if own:
-            stream.close()
     return RdCurve.from_pairs(pairs)

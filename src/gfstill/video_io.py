@@ -1,12 +1,14 @@
 """Raw video I/O: YUV4MPEG2 (Y4M) reading/writing and headerless planar YUV.
 
-Analysis downstream is luma-only; chroma planes are parsed so the stream
-position stays correct, then discarded.  Writing always emits 4:2:0 with
+Analysis downstream is luma-only; chroma planes only size each frame's
+payload and are never read.  Writing always emits 4:2:0 with
 neutral chroma, so a load/write/load cycle preserves luma exactly.
 """
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Union
@@ -15,16 +17,26 @@ import numpy as np
 
 MIN_DIMENSION = 16
 
-Y4M_SIGNATURE = b"YUV4MPEG2"
+# the space after the magic word is part of the signature
+Y4M_SIGNATURE = b"YUV4MPEG2 "
 
-# 8-bit colorspace tokens we accept, mapped to the chroma layout.
+# Each accepted 8-bit colorspace token: (chroma planes, horizontal and
+# vertical chroma subsampling).  Only luma is analysed; the rest sizes the
+# payload.
 _COLORSPACES = {
-    b"420": "420",
-    b"420jpeg": "420",
-    b"420mpeg2": "420",
-    b"420paldv": "420",
-    b"444": "444",
+    "420": (2, 2, 2),
+    "420jpeg": (2, 2, 2),
+    "420mpeg2": (2, 2, 2),
+    "420paldv": (2, 2, 2),
+    "422": (2, 2, 1),
+    "444": (2, 1, 1),
+    "mono": (0, 1, 1),
 }
+# The layouts a headerless file may declare (`--chroma`).
+RAW_CHROMA = ("420", "444")
+
+_TOKEN = re.compile(rb"[^ ]+")
+_FRAME_LINE = re.compile(rb"FRAME( .*)?")
 
 
 class Y4mError(ValueError):
@@ -94,18 +106,27 @@ class VideoSequence:
 Source = Union[str, Path, bytes, BinaryIO]
 
 
+@contextmanager
+def _opened(target, mode: str, **open_args):
+    """Open and close `target` if it is a path; pass a stream through."""
+    if isinstance(target, (str, Path)):
+        with open(target, mode, **open_args) as stream:
+            yield stream
+    else:
+        yield target
+
+
 def _read_all(source: Source) -> bytes:
     if isinstance(source, bytes):
         return source
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read()
+    with _opened(source, "rb") as stream:
+        return stream.read()
 
 
-def _chroma_dims(width: int, height: int, chroma: str) -> tuple[int, int]:
-    if chroma == "444":
-        return width, height
-    return (width + 1) // 2, (height + 1) // 2
+def _frame_size(width: int, height: int, colorspace: str) -> int:
+    planes, sub_x, sub_y = _COLORSPACES[colorspace]
+    # a subsampled plane rounds an odd luma dimension up
+    return width * height + planes * -(-width // sub_x) * -(-height // sub_y)
 
 
 def _header_dimension(name: str, value: bytes, pos: int) -> int:
@@ -115,13 +136,39 @@ def _header_dimension(name: str, value: bytes, pos: int) -> int:
     return size
 
 
+def _frames(
+    data: bytes, pos: int, width: int, height: int, frame_bytes: int, marker: bool
+) -> list[FramePlane]:
+    """Cut `data` from `pos` into payloads of `frame_bytes`, each after a
+    FRAME line when `marker` is set, and copy out each luma plane."""
+    frames: list[FramePlane] = []
+    while pos < len(data):
+        if marker:
+            end = data.find(b"\n", pos)
+            if end < 0 or not _FRAME_LINE.fullmatch(data, pos, end):
+                raise Y4mError("expected FRAME marker", pos)
+            pos = end + 1
+        if len(data) - pos < frame_bytes:
+            raise Y4mError(
+                f"truncated frame payload: needed {frame_bytes} bytes, "
+                f"got {len(data) - pos}",
+                pos,
+            )
+        luma = np.frombuffer(data, np.uint8, width * height, pos)
+        frames.append(FramePlane(luma.reshape(height, width).copy()))
+        pos += frame_bytes
+    if not frames:
+        raise Y4mError("stream contains no frames", pos)
+    return frames
+
+
 def load_y4m(source: Source) -> VideoSequence:
     """Parse a YUV4MPEG2 stream into luma frames.
 
-    Accepts 8-bit 4:2:0 and 4:4:4 streams only.  Malformed signatures,
-    unsupported colorspace tokens, frames under 16x16, nonpositive frame
-    rates and truncated payloads raise Y4mError with the byte offset of
-    the problem.
+    Accepts 8-bit 4:2:0 (any siting), 4:2:2, 4:4:4 and mono only.  Malformed
+    signatures or FRAME lines, unsupported colorspace tokens, frames under
+    16x16, nonpositive frame rates and truncated payloads raise Y4mError
+    with the byte offset of the problem.
     """
     data = _read_all(source)
     if not data.startswith(Y4M_SIGNATURE):
@@ -132,18 +179,9 @@ def load_y4m(source: Source) -> VideoSequence:
 
     width = height = 0
     rate = (30, 1)
-    chroma = "420"
-    pos = len(Y4M_SIGNATURE)
-    while pos < header_end:
-        # skip the separating space to land on the tag character
-        while pos < header_end and data[pos] == 0x20:
-            pos += 1
-        if pos >= header_end:
-            break
-        end = data.find(b" ", pos, header_end)
-        if end < 0:
-            end = header_end
-        token = data[pos:end]
+    colorspace = "420"
+    for match in _TOKEN.finditer(data, len(Y4M_SIGNATURE), header_end):
+        pos, token = match.start(), match.group()
         tag, value = token[:1], token[1:]
         try:
             if tag == b"W":
@@ -159,12 +197,12 @@ def load_y4m(source: Source) -> VideoSequence:
                         pos,
                     )
             elif tag == b"C":
-                if value not in _COLORSPACES:
+                colorspace = value.decode("ascii", "replace")
+                if colorspace not in _COLORSPACES:
                     raise Y4mError(
                         f"unsupported colorspace or bit depth {token.decode('ascii', 'replace')!r}",
                         pos,
                     )
-                chroma = _COLORSPACES[value]
             # I, A and X tags are legal but irrelevant here.
         except (ValueError, IndexError) as exc:
             if isinstance(exc, Y4mError):
@@ -172,62 +210,28 @@ def load_y4m(source: Source) -> VideoSequence:
             raise Y4mError(
                 f"malformed header token {token.decode('ascii', 'replace')!r}", pos
             ) from exc
-        pos = end
     if width <= 0 or height <= 0:
         raise Y4mError("header does not declare both W and H", 0)
 
-    cw, ch = _chroma_dims(width, height, chroma)
-    luma_size = width * height
-    chroma_size = cw * ch
-
-    frames: list[FramePlane] = []
-    pos = header_end + 1
-    while pos < len(data):
-        marker_end = data.find(b"\n", pos)
-        if marker_end < 0 or not data[pos:marker_end].startswith(b"FRAME"):
-            raise Y4mError("expected FRAME marker", pos)
-        payload = marker_end + 1
-        need = luma_size + 2 * chroma_size
-        if len(data) - payload < need:
-            raise Y4mError(
-                f"truncated frame payload: needed {need} bytes, "
-                f"got {len(data) - payload}",
-                payload,
-            )
-        luma = np.frombuffer(data, np.uint8, luma_size, payload)
-        frames.append(FramePlane(luma.reshape(height, width).copy()))
-        pos = payload + need
-
-    if not frames:
-        raise Y4mError("stream contains no frames", pos)
-    return VideoSequence(frames, rate)
+    frame_bytes = _frame_size(width, height, colorspace)
+    return VideoSequence(
+        _frames(data, header_end + 1, width, height, frame_bytes, marker=True), rate
+    )
 
 
 def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> VideoSequence:
     """Read headerless planar YUV given externally supplied geometry."""
-    if chroma not in ("420", "444"):
+    if chroma not in RAW_CHROMA:
         raise ValueError(f"unsupported raw chroma format {chroma!r}")
     if width < MIN_DIMENSION or height < MIN_DIMENSION:
         raise ValueError(
             f"raw frames must be at least {MIN_DIMENSION}x{MIN_DIMENSION}, "
             f"got {width}x{height}"
         )
-    data = _read_all(source)
-    cw, ch = _chroma_dims(width, height, chroma)
-    frame_size = width * height + 2 * cw * ch
-    count, leftover = divmod(len(data), frame_size)
-    if leftover:
-        raise Y4mError(
-            f"truncated frame payload: needed {frame_size} bytes, got {leftover}",
-            count * frame_size,
-        )
-    if count == 0:
-        raise Y4mError("stream contains no frames", 0)
-    frames = []
-    for i in range(count):
-        luma = np.frombuffer(data, np.uint8, width * height, i * frame_size)
-        frames.append(FramePlane(luma.reshape(height, width).copy()))
-    return VideoSequence(frames)
+    frame_bytes = _frame_size(width, height, chroma)
+    return VideoSequence(
+        _frames(_read_all(source), 0, width, height, frame_bytes, marker=False)
+    )
 
 
 def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:
@@ -238,20 +242,11 @@ def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:
     w, h = sequence.width, sequence.height
     num, den = sequence.frame_rate
     header = f"YUV4MPEG2 W{w} H{h} F{num}:{den} Ip A0:0 C420\n".encode("ascii")
-    cw, ch = _chroma_dims(w, h, "420")
-    neutral = bytes([128]) * (cw * ch)
-
-    own = isinstance(sink, (str, Path))
-    out: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[arg-type]
-    written = 0
-    try:
-        written += out.write(header)
+    neutral = bytes([128]) * (_frame_size(w, h, "420") - w * h)
+    with _opened(sink, "wb") as out:
+        written = out.write(header)
         for frame in sequence.frames:
             written += out.write(b"FRAME\n")
             written += out.write(frame.samples.tobytes())
             written += out.write(neutral)
-            written += out.write(neutral)
-    finally:
-        if own:
-            out.close()
     return written

@@ -209,6 +209,31 @@ class TestAnalyzeCommand:
         assert by_path.returncode == piped.returncode == 0, piped.stderr
         assert by_path.stdout and piped.stdout == by_path.stdout
 
+    @pytest.mark.parametrize(
+        "head, marker, offset",
+        [
+            # the signature must be followed by a space
+            (b"YUV4MPEG2X W16 H16", b"FRAME\n", 0),
+            (b"YUV4MPEG2W16 H16", b"FRAME\n", 0),
+            # a marker is FRAME, optionally followed by a space and
+            # parameters; it starts after the 29-byte header
+            (b"YUV4MPEG2 W16 H16", b"FRAMEX\n", 29),
+            (b"YUV4MPEG2 W16 H16", b"FRAMES GARBAGE\n", 29),
+        ],
+    )
+    def test_misspelt_magic_word_is_input_error(
+        self, head, marker, offset, tmp_path, capsys
+    ):
+        clip = tmp_path / "bad.y4m"
+        payload = bytes(16 * 16 * 3 // 2)
+        clip.write_bytes(
+            head + b" F25:1 C420\n" + marker + payload + b"FRAME\n" + payload
+        )
+        assert run("analyze", str(clip)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.endswith(f"(byte offset {offset})\n")
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("analyze", str(tmp_path / "absent.y4m")) == 2
 

@@ -67,7 +67,24 @@ class TestLoad:
             load_y4m(b"YUV4MPEG9 W64 H48\n")
         assert exc.value.offset == 0
 
-    @pytest.mark.parametrize("tag", [b"C422", b"Cmono", b"C420p10", b"C444p12"])
+    @pytest.mark.parametrize(
+        "tag, chroma_bytes",
+        # 33x17 luma: 4:2:2 halves the width only, rounding up; mono has
+        # no chroma planes at all
+        [(b"C422", 2 * 17 * 17), (b"Cmono", 0)],
+        ids=["C422", "Cmono"],
+    )
+    def test_accepts_422_and_mono(self, tag, chroma_bytes):
+        frames = _frames(2, width=33, height=17)
+        data = b"YUV4MPEG2 W33 H17 F25:1 %s\n" % tag + b"".join(
+            b"FRAME\n" + f.tobytes() + b"\x80" * chroma_bytes for f in frames
+        )
+        seq = load_y4m(data)
+        assert len(seq.frames) == 2
+        for got, want in zip(seq.frames, frames):
+            assert np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize("tag", [b"C420p10", b"C444p12"])
     def test_rejects_unsupported_colorspace(self, tag):
         data = _y4m_bytes(64, 48, _frames(1), colorspace=tag)
         with pytest.raises(Y4mError) as exc:
@@ -98,6 +115,12 @@ class TestLoad:
         with pytest.raises(Y4mError) as exc:
             load_y4m(broken)
         assert "FRAME" in str(exc.value)
+
+    def test_frame_parameters_are_legal(self):
+        frames = _frames(2)
+        data = _y4m_bytes(64, 48, frames).replace(b"FRAME\n", b"FRAME Ip XY=1\n")
+        seq = load_y4m(data)
+        assert np.array_equal(seq.frames[1].samples, frames[1])
 
     def test_header_only_means_no_frames(self):
         with pytest.raises(Y4mError) as exc:
