@@ -189,7 +189,7 @@ class TestAnalyzeCommand:
         if raw:
             seq = load_y4m(clip)
             clip = tmp_path / "pan.yuv"
-            chroma = bytes([128]) * (seq.width // 2 * seq.height // 2 * 2)
+            chroma = bytes([128]) * (2 * (seq.width // 2) * (seq.height // 2))
             clip.write_bytes(b"".join(f.samples.tobytes() + chroma for f in seq.frames))
             flags = ["--width", str(seq.width), "--height", str(seq.height)]
         env = dict(os.environ)
