@@ -78,7 +78,8 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--width", type=int, default=None, help="raw .yuv width")
     p.add_argument("--height", type=int, default=None, help="raw .yuv height")
-    p.add_argument("--chroma", default=RAW_CHROMA[0], choices=RAW_CHROMA)
+    # None means not given: Y4M input rejects the flag, raw input defaults it
+    p.add_argument("--chroma", default=None, choices=RAW_CHROMA)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +131,10 @@ def _load_sequence(path: str, args) -> VideoSequence:
     if path.endswith(".yuv") or raw_flags:
         if args.width is None or args.height is None:
             raise UsageError("raw input needs both --width and --height")
-        return load_yuv(source, args.width, args.height, args.chroma)
+        chroma = args.chroma or RAW_CHROMA[0]
+        return load_yuv(source, args.width, args.height, chroma)
+    if args.chroma is not None:
+        raise UsageError("--chroma applies only to raw input; Y4M names its own")
     return load_y4m(source)
 
 

@@ -102,9 +102,10 @@ def motion_search(
     rows, cols = h // bs, w // bs
     # no window reaches further than the padded frame, whatever the range
     ry, rx = min(r, h - bs), min(r, w - bs)
-    # C order keeps each difference below contiguous, so its reshapes are views
-    cur_i = cur_s.astype(np.int32, order="C")
-    ref_i = ref_s.astype(np.int32, order="C")
+    # C order keeps each difference below contiguous, so its reshapes are
+    # views; int16 holds a difference of two samples in half the bytes of int32
+    cur16 = cur_s.astype(np.int16, order="C")
+    ref16 = ref_s.astype(np.int16, order="C")
 
     def grid(dx: int, dy: int) -> tuple[int, int, int, int]:
         """Block rows b0:b1 and columns c0:c1 whose window at (dx, dy) stays
@@ -120,12 +121,13 @@ def motion_search(
         """SSE at (dx, dy) of the blocks whose window stays inside the padded
         frame, with the grid slices that locate those blocks."""
         b0, b1, c0, c1 = grid(dx, dy)
-        diff = cur_i[b0 * bs : b1 * bs, c0 * bs : c1 * bs] - ref_i[
+        diff = cur16[b0 * bs : b1 * bs, c0 * bs : c1 * bs] - ref16[
             b0 * bs + dy : b1 * bs + dy, c0 * bs + dx : c1 * bs + dx
         ]
+        # a square is at most 255**2 = 65025: it wraps in int16, but its bits
+        # read as uint16 are exact
         diff *= diff
-        # 32x32 blocks peak below 2**31 so int32 is safe
-        return np.s_[b0:b1, c0:c1], _block_sums(diff, bs)
+        return np.s_[b0:b1, c0:c1], _block_sums(diff.view(np.uint16), bs)
 
     zero = block_sse(0, 0)[1].astype(np.int64)
     if cfg.search_kind == "diamond":
@@ -142,9 +144,10 @@ def motion_search(
     # it changes nothing, tie-breaks included.
     half = bs // 2
     n = half * half
-    ref_sub = _window_sums(ref_i, half).astype(np.int64)
-    cur_sub = _block_sums(cur_i, half).astype(np.int64)
-    cur_blocks = cur_i.reshape(rows, bs, cols, bs)
+    # a 16x16 window of samples can sum past the int16 range
+    ref_sub = _window_sums(ref16.astype(np.int32), half).astype(np.int64)
+    cur_sub = _block_sums(cur16, half).astype(np.int64)
+    cur_blocks = cur16.reshape(rows, bs, cols, bs)
     mv = np.zeros((rows, cols, 2), np.int64)
     best = zero.copy()
     # visiting in tie-break order and moving only on a strictly lower SSE
@@ -168,12 +171,12 @@ def motion_search(
             # most blocks survive: the whole-grid SSE is cheaper than a gather
             sse = block_sse(dx, dy)[1][bi, ci]
         else:
-            window = ref_i[y0 : b1 * bs + dy, x0 : c1 * bs + dx].reshape(
+            window = ref16[y0 : b1 * bs + dy, x0 : c1 * bs + dx].reshape(
                 b1 - b0, bs, c1 - c0, bs
             )
             diff = cur_blocks[bi + b0, :, ci + c0] - window[bi, :, ci]
             diff *= diff
-            sse = diff.sum(axis=(1, 2), dtype=np.int32)
+            sse = diff.view(np.uint16).sum(axis=(1, 2), dtype=np.int32)
         better = sse < sub_best[bi, ci]
         bi, ci = bi[better], ci[better]
         sub_best[bi, ci] = sse[better]
@@ -182,9 +185,11 @@ def motion_search(
 
 
 def _block_sums(a: np.ndarray, size: int) -> np.ndarray:
-    """int32 sum of every size x size block of a C-contiguous int32 array
-    whose sides are multiples of size.  Summing rows then columns is about
-    twice as fast as one sum over axes (1, 3)."""
+    """int32 sum of every size x size block of a C-contiguous array whose
+    sides are multiples of size.  A 32x32 block of squared sample
+    differences sums to at most 32 * 32 * 65025 < 2**31, so int32 is safe.
+    Summing rows then columns is about twice as fast as one sum over axes
+    (1, 3)."""
     col_sums = a.reshape(a.shape[0] // size, size, -1).sum(axis=1, dtype=np.int32)
     return col_sums.reshape(col_sums.shape[0], -1, size).sum(axis=2, dtype=np.int32)
 

@@ -36,6 +36,10 @@ _COLORSPACES = {
 RAW_CHROMA = ("420", "444")
 
 _TOKEN = re.compile(rb"[^ ]+")
+# A header number is ASCII digits; int() would also take "+", "_" and
+# spaces.  A leading "-" is kept so that a negative value fails as out of
+# range rather than as malformed.
+_NUMBER = re.compile(rb"-?[0-9]+")
 _FRAME_LINE = re.compile(rb"FRAME( .*)?")
 
 
@@ -129,8 +133,14 @@ def _frame_size(width: int, height: int, colorspace: str) -> int:
     return width * height + planes * -(-width // sub_x) * -(-height // sub_y)
 
 
+def _header_number(value: bytes) -> int:
+    if not _NUMBER.fullmatch(value):
+        raise ValueError(f"not a header number: {value!r}")
+    return int(value)
+
+
 def _header_dimension(name: str, value: bytes, pos: int) -> int:
-    size = int(value.decode("ascii"))
+    size = _header_number(value)
     if size < MIN_DIMENSION:
         raise Y4mError(f"{name} must be at least {MIN_DIMENSION}, got {size}", pos)
     return size
@@ -189,11 +199,12 @@ def load_y4m(source: Source) -> VideoSequence:
             elif tag == b"H":
                 height = _header_dimension("height", value, pos)
             elif tag == b"F":
-                num, den = value.decode("ascii").split(":")
-                rate = (int(num), int(den))
+                num, den = value.split(b":")
+                rate = (_header_number(num), _header_number(den))
                 if min(rate) <= 0:
                     raise Y4mError(
-                        f"frame rate must be a positive rational, got {num}:{den}",
+                        "frame rate must be a positive rational, "
+                        f"got {value.decode('ascii')}",
                         pos,
                     )
             elif tag == b"C":

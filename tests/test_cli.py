@@ -272,6 +272,36 @@ class TestAnalyzeCommand:
         assert err.count("\n") == 1 and err.startswith("gfstill: ")
         assert f"got {width}x{height}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "plan"])
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["path", "stdin"])
+    def test_chroma_on_y4m_is_usage_error(
+        self, command, from_stdin, static_clip, monkeypatch, capsys
+    ):
+        # the Y4M header names the layout, so --chroma would be ignored
+        if from_stdin:
+            data = Path(static_clip).read_bytes()
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        source = "-" if from_stdin else static_clip
+        assert run(command, source, "--chroma", "444") == 1
+        out, err = capsys.readouterr()
+        assert not out and err == (
+            "gfstill: --chroma applies only to raw input; Y4M names its own\n"
+        )
+
+    def test_chroma_selects_the_raw_layout(self, static_clip, tmp_path, capsys):
+        assert run("analyze", static_clip) == 0
+        printed = capsys.readouterr().out
+        seq = load_y4m(static_clip)
+        raw = tmp_path / "clip.yuv"
+        chroma = bytes([128]) * (2 * seq.width * seq.height)
+        raw.write_bytes(b"".join(f.samples.tobytes() + chroma for f in seq.frames))
+        size = ["--width", str(seq.width), "--height", str(seq.height)]
+        assert run("analyze", str(raw), *size, "--chroma", "444") == 0
+        assert capsys.readouterr().out == printed
+        # read as the default 4:2:0, the same bytes cut into other frames
+        assert run("analyze", str(raw), *size) == 0
+        assert capsys.readouterr().out != printed
+
     def test_bad_target_interval_is_usage_error(self, static_clip):
         assert run("analyze", static_clip, "--target-interval", "3") == 1
         assert run("analyze", static_clip, "--target-interval", "17") == 1

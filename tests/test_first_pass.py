@@ -76,6 +76,18 @@ class TestBlockSearch:
         _, best, zero = motion_search(cur, ref)
         assert (best <= zero).all()
 
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    @pytest.mark.parametrize("dark_current", [True, False])
+    def test_extreme_frames_at_block_32(self, kind, dark_current):
+        # each block's SSE is 32 * 32 * 255**2 = 66,585,600: a squared
+        # difference outside uint16, or a block sum outside int32, shows here
+        dark, light = np.zeros((64, 96), np.uint8), np.full((64, 96), 255, np.uint8)
+        cur, ref = (dark, light) if dark_current else (light, dark)
+        cfg = SearchConfig(32, 8, kind)
+        _assert_matches_oracle(cur, ref, cfg)
+        _, best, zero = motion_search(cur, ref, cfg)
+        assert (best == zero).all() and (zero == 32 * 32 * 255**2).all()
+
     def test_constant_frames_break_ties_toward_zero(self):
         flat = np.full((48, 64), 77, np.uint8)
         mv, best, zero = motion_search(flat, flat)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfstill import gop_planner
+from gfstill.first_pass import SearchConfig, analyze_frame
 from gfstill.gop_planner import (
     MAX_GROUP_INTERVAL,
     MIN_GROUP_INTERVAL,
@@ -21,6 +25,7 @@ from gfstill.gop_planner import (
     segment_groups,
     validate_plan,
 )
+from gfstill.stillness import compute_group_metrics
 from gfstill.synth import SynthSpec, generate
 from gfstill.video_io import VideoSequence
 
@@ -386,3 +391,71 @@ class TestPlanSequence:
             "metrics",
             "entries",
         }
+
+
+@pytest.fixture(scope="module")
+def large_clip():
+    """Five 1280x720 frames, above the pool's pixel gate, shuffled so that
+    every frame pair moves by a different amount."""
+    pan = generate(SynthSpec("pan", 1280, 720, 5, amplitude=4.0)).frames
+    return VideoSequence([pan[i] for i in (0, 1, 3, 2, 4)])
+
+
+def _pooled_run(monkeypatch, cpus, clip, cfg, key_interval):
+    """plan_sequence on `cpus` CPUs; returns the worker count each pool was
+    given and the stats every group's metrics were computed from."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    workers, stats = [], []
+
+    def pool(n):
+        workers.append(n)
+        return ThreadPoolExecutor(n)
+
+    def metrics(group_stats, pixels):
+        stats.append(group_stats)
+        return compute_group_metrics(group_stats, pixels)
+
+    monkeypatch.setattr(gop_planner, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(gop_planner, "compute_group_metrics", metrics)
+    results = plan_sequence(clip, cfg, key_interval=key_interval)
+    return workers, stats, plans_to_json(results)
+
+
+class TestFirstPassPool:
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    def test_two_workers_equal_one(self, kind, large_clip, monkeypatch):
+        cfg = SearchConfig(search_kind=kind)
+        # keyframes at 0 and 2: groups (1, 1) and (3, 2), so pair 2 is skipped
+        frames = [f.samples for f in large_clip.frames]
+        want = [
+            [analyze_frame(frames[1], frames[0], cfg, frame_index=1)],
+            [
+                analyze_frame(frames[3], frames[2], cfg, frame_index=1),
+                analyze_frame(frames[4], frames[3], cfg, frame_index=2),
+            ],
+        ]
+        assert len({s.frame_sse for group in want for s in group}) == 3
+        one = _pooled_run(monkeypatch, 1, large_clip, cfg, key_interval=2)
+        two = _pooled_run(monkeypatch, 2, large_clip, cfg, key_interval=2)
+        assert one[0] == [1] and two[0] == [2]
+        assert one[1] == two[1] == want
+        assert one[2] == two[2]
+
+    def test_small_frames_use_one_worker(self, monkeypatch):
+        clip = generate(SynthSpec("pan", 352, 288, 3, amplitude=4.0))
+        workers, _, _ = _pooled_run(monkeypatch, 2, clip, SearchConfig(), None)
+        assert workers == [1]
+
+    def test_worker_error_reaches_the_caller(self, large_clip, monkeypatch):
+        raised = ValueError("frame 3 is unreadable")
+
+        def analyze(cur, prev, cfg, frame_index):
+            if cur is large_clip.frames[3].samples:
+                raise raised
+            return analyze_frame(cur, prev, cfg, frame_index=frame_index)
+
+        monkeypatch.setattr(gop_planner, "analyze_frame", analyze)
+        with pytest.raises(ValueError) as info:
+            _pooled_run(monkeypatch, 2, large_clip, SearchConfig(search_kind="diamond"), None)
+        assert info.value is raised

@@ -149,6 +149,13 @@ class TestLoad:
             (b"F0:1", "frame rate must be a positive rational"),
             (b"F25:0", "frame rate must be a positive rational"),
             (b"F-30:1", "frame rate must be a positive rational"),
+            # header numbers are ASCII digits; int() alone would read each
+            # of these as 16 or 30
+            (b"W1_6", "malformed header token"),
+            (b"H+16", "malformed header token"),
+            (b"H16\t", "malformed header token"),
+            (b"F3_0:1", "malformed header token"),
+            (b"F30:+1", "malformed header token"),
         ],
     )
     def test_bad_header_value_reports_token_offset(self, token, message):
