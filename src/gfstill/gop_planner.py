@@ -20,7 +20,6 @@ import csv
 import enum
 import os
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import IO, Sequence
@@ -438,6 +437,10 @@ def plan_sequence(
     # the pairs are independent; map returns them in display order, so the
     # output cannot depend on scheduling.  Every pair finishes before any
     # group is scored, so the scoring never runs beside a worker.
+    # imported here, so that the commands without a first pass do not load
+    # it, and logging with it, at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(workers) as pool:
         stats = iter(list(pool.map(first_pass, pairs)))
     results = []

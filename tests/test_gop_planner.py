@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -416,7 +417,7 @@ def _pooled_run(monkeypatch, cpus, clip, cfg, key_interval):
         stats.append(group_stats)
         return compute_group_metrics(group_stats, pixels)
 
-    monkeypatch.setattr(gop_planner, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(gop_planner, "compute_group_metrics", metrics)
     results = plan_sequence(clip, cfg, key_interval=key_interval)
     return workers, stats, plans_to_json(results)
