@@ -411,7 +411,7 @@ def _pooled_run(monkeypatch, cpus, clip, cfg, key_interval):
 
     def pool(n):
         workers.append(n)
-        return ThreadPoolExecutor(n)
+        return ThreadPoolExecutor(n)  # the class imported before the patch
 
     def metrics(group_stats, pixels):
         stats.append(group_stats)
@@ -457,6 +457,7 @@ class TestFirstPassPool:
             return analyze_frame(cur, prev, cfg, frame_index=frame_index)
 
         monkeypatch.setattr(gop_planner, "analyze_frame", analyze)
+        cfg = SearchConfig(search_kind="diamond")
         with pytest.raises(ValueError) as info:
-            _pooled_run(monkeypatch, 2, large_clip, SearchConfig(search_kind="diamond"), None)
+            _pooled_run(monkeypatch, 2, large_clip, cfg, None)
         assert info.value is raised
