@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import csv
 import enum
-import os
 from bisect import insort
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import IO, Sequence
 
 from .first_pass import FrameFirstPassStats, SearchConfig, analyze_frame
+from .parallel import cpus, ordered_map
 from .stillness import (
     METRIC_NAMES,
     NON_STILL,
@@ -402,13 +402,6 @@ def validate_plan(
     return violations
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; `taskset` narrows them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # no affinity mask on macOS or Windows
-
-
 def plan_sequence(
     sequence: VideoSequence,
     cfg: SearchConfig | None = None,
@@ -433,16 +426,10 @@ def plan_sequence(
         return analyze_frame(frames[d], frames[d - 1], cfg, frame_index=d - start + 1)
 
     pairs = [(d, s) for s, interval in groups for d in range(s, s + interval)]
-    workers = _cpus() if pixels >= POOL_MIN_PIXELS else 1
-    # the pairs are independent; map returns them in display order, so the
-    # output cannot depend on scheduling.  Every pair finishes before any
-    # group is scored, so the scoring never runs beside a worker.
-    # imported here, so that the commands without a first pass do not load
-    # it, and logging with it, at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        stats = iter(list(pool.map(first_pass, pairs)))
+    workers = cpus() if pixels >= POOL_MIN_PIXELS else 1
+    # every pair finishes before any group is scored, so the scoring never
+    # runs beside a worker
+    stats = iter(ordered_map(first_pass, pairs, workers))
     results = []
     for gid, (start, interval) in enumerate(groups, start=1):
         metrics = compute_group_metrics(list(islice(stats, interval)), pixels)

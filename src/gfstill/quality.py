@@ -17,6 +17,7 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .parallel import cpus, ordered_map
 from .video_io import _opened, check_luma
 
 PEAK = 255.0
@@ -26,6 +27,7 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+SSIM_STRIP_ROWS = 64
 
 BD_FIT_DEGREE = 3
 
@@ -33,7 +35,10 @@ def _check_pair(a: np.ndarray, b: np.ndarray, minimum: int) -> None:
     check_luma(a)
     check_luma(b)
     if a.shape != b.shape:
-        raise ValueError(f"frame dimensions differ: {a.shape} vs {b.shape}")
+        raise ValueError(
+            f"reference is {a.shape[1]}x{a.shape[0]}, "
+            f"distorted is {b.shape[1]}x{b.shape[0]}"
+        )
     if min(a.shape) < minimum:
         raise ValueError(f"frames must be at least {minimum}x{minimum}")
 
@@ -70,23 +75,27 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 
     Gaussian-weighted window statistics (sigma 1.5), stabilisers
     C1 = (K1*255)^2 and C2 = (K2*255)^2, no padding: windows that would
-    stick out of the frame are simply not evaluated.
+    stick out of the frame are simply not evaluated.  The scores are
+    computed in strips of SSIM_STRIP_ROWS window rows, each from its own
+    rows of the frames, so the float temporaries stay a strip in size.
     """
     _check_pair(a, b, SSIM_WINDOW)
-    x = a.astype(np.float64)
-    y = b.astype(np.float64)
     c1 = (SSIM_K1 * PEAK) ** 2
     c2 = (SSIM_K2 * PEAK) ** 2
-
-    mu_x = _window_means(x)
-    mu_y = _window_means(y)
-    sigma_x = _window_means(x * x) - mu_x * mu_x
-    sigma_y = _window_means(y * y) - mu_y * mu_y
-    sigma_xy = _window_means(x * y) - mu_x * mu_y
-
-    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * sigma_xy + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (sigma_x + sigma_y + c2)
-    )
+    height, width = a.shape
+    score = np.empty((height - SSIM_WINDOW + 1, width - SSIM_WINDOW + 1))
+    for top in range(0, score.shape[0], SSIM_STRIP_ROWS):
+        rows = slice(top, top + SSIM_STRIP_ROWS + SSIM_WINDOW - 1)
+        x = a[rows].astype(np.float64)
+        y = b[rows].astype(np.float64)
+        mu_x = _window_means(x)
+        mu_y = _window_means(y)
+        sigma_x = _window_means(x * x) - mu_x * mu_x
+        sigma_y = _window_means(y * y) - mu_y * mu_y
+        sigma_xy = _window_means(x * y) - mu_x * mu_y
+        score[top : top + SSIM_STRIP_ROWS] = (
+            (2.0 * mu_x * mu_y + c1) * (2.0 * sigma_xy + c2)
+        ) / ((mu_x * mu_x + mu_y * mu_y + c1) * (sigma_x + sigma_y + c2))
     return float(np.mean(score))
 
 
@@ -174,13 +183,25 @@ class QualityReport:
 def sequence_quality(
     ref: Sequence[np.ndarray], dist: Sequence[np.ndarray]
 ) -> QualityReport:
-    """Per-frame PSNR/SSIM plus their arithmetic means."""
+    """Per-frame PSNR/SSIM plus their arithmetic means.
+
+    The SSIM pairs are scored on a thread per CPU this process may run on;
+    the result is the same on any number of CPUs.
+    """
     if len(ref) != len(dist):
         raise ValueError(f"frame counts differ: {len(ref)} vs {len(dist)}")
     if not ref:
         raise ValueError("empty sequences cannot be scored")
-    psnr_values = [psnr(r, d) for r, d in zip(ref, dist)]
-    ssim_values = [ssim(r, d) for r, d in zip(ref, dist)]
+    pairs = list(zip(ref, dist))
+    # every pair is checked here, so a bad frame is named by its index and
+    # never fails inside a worker
+    for i, (r, d) in enumerate(pairs):
+        try:
+            _check_pair(r, d, SSIM_WINDOW)
+        except ValueError as exc:
+            raise ValueError(f"frame {i}: {exc}") from None
+    psnr_values = [psnr(r, d) for r, d in pairs]
+    ssim_values = ordered_map(lambda pair: ssim(*pair), pairs, cpus())
     return QualityReport(
         psnr_db=psnr_values,
         ssim=ssim_values,

@@ -363,6 +363,21 @@ class TestQualityCommand:
                                      frame_count=17)), other)
         assert run("quality", static_clip, str(other)) == 2
 
+    def test_dimension_mismatch_names_frame_width_and_height(
+        self, tmp_path, capsys
+    ):
+        paths = []
+        for name, height in (("ref.y4m", 32), ("dist.y4m", 48)):
+            paths.append(str(tmp_path / name))
+            write_y4m(generate(SynthSpec("static", width=32, height=height,
+                                         frame_count=3)), paths[-1])
+        assert run("quality", *paths) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gfstill: frame 0: reference is 32x32, distorted is 32x48\n"
+        )
+
     @pytest.mark.parametrize("which", [0, 1])
     def test_dash_reads_one_clip_from_stdin(
         self, which, static_clip, pan_clip, monkeypatch, capsys

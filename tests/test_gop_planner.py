@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +24,7 @@ from gfstill.gop_planner import (
     segment_groups,
     validate_plan,
 )
+from gfstill.parallel import ordered_map
 from gfstill.stillness import compute_group_metrics
 from gfstill.synth import SynthSpec, generate
 from gfstill.video_io import VideoSequence
@@ -403,21 +402,21 @@ def large_clip():
 
 
 def _pooled_run(monkeypatch, cpus, clip, cfg, key_interval):
-    """plan_sequence on `cpus` CPUs; returns the worker count each pool was
+    """plan_sequence on `cpus` CPUs; returns the worker count each map was
     given and the stats every group's metrics were computed from."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     workers, stats = [], []
 
-    def pool(n):
+    def pooled(fn, items, n):
         workers.append(n)
-        return ThreadPoolExecutor(n)  # the class imported before the patch
+        return ordered_map(fn, items, n)
 
     def metrics(group_stats, pixels):
         stats.append(group_stats)
         return compute_group_metrics(group_stats, pixels)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(gop_planner, "ordered_map", pooled)
     monkeypatch.setattr(gop_planner, "compute_group_metrics", metrics)
     results = plan_sequence(clip, cfg, key_interval=key_interval)
     return workers, stats, plans_to_json(results)

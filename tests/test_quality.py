@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfstill import quality
+from gfstill.parallel import ordered_map
 from gfstill.quality import (
     PSNR_CAP_DB,
+    SSIM_STRIP_ROWS,
     RdCurve,
     RdPoint,
     bd_rate,
@@ -90,6 +94,23 @@ class TestSsim:
         b = random_plane(rng, 24, 24)
         assert ssim(a, b) == ssim(b, a)
 
+    @pytest.mark.parametrize(
+        "height",
+        [
+            SSIM_STRIP_ROWS + 9,  # one short strip
+            SSIM_STRIP_ROWS + 10,  # one full strip
+            SSIM_STRIP_ROWS + 11,  # a last strip of one window row
+            2 * SSIM_STRIP_ROWS + 11,
+            3 * SSIM_STRIP_ROWS + 40,
+        ],
+    )
+    def test_strips_equal_one_whole_frame_strip(self, height, rng, monkeypatch):
+        a = random_plane(rng, 37, height)
+        b = random_plane(rng, 37, height)
+        strips = ssim(a, b)
+        monkeypatch.setattr(quality, "SSIM_STRIP_ROWS", height)
+        assert ssim(a, b) == strips
+
     def test_noise_scores_below_clean(self, rng):
         base = random_plane(rng, 48, 48)
         noisy = base.astype(np.int16) + rng.integers(-20, 21, base.shape)
@@ -131,15 +152,20 @@ class TestSsimOracleProperty:
     @given(
         case=st.tuples(
             st.sampled_from(["random", "extremes", "constant", "one_pixel"]),
-            st.integers(11, 40),
-            st.integers(11, 40),
+            # past several score strips; narrow, so the oracle stays fast
+            st.integers(11, 3 * SSIM_STRIP_ROWS + 20),
+            st.integers(11, 20),
             st.integers(0, 2**32 - 1),
         )
     )
-    # single-window-high and single-window-wide strips
+    # single-window-high and single-window-wide frames
     @example(case=("random", 11, 40, 1))
     @example(case=("one_pixel", 40, 11, 2))
     @example(case=("extremes", 11, 11, 0))
+    # one full strip, a last strip of one window row, and the same after two
+    @example(case=("random", SSIM_STRIP_ROWS + 10, 13, 3))
+    @example(case=("one_pixel", SSIM_STRIP_ROWS + 11, 12, 4))
+    @example(case=("random", 2 * SSIM_STRIP_ROWS + 11, 11, 5))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_exactly_symmetric_and_self_one(self, case):
         a, b = _ssim_pair(*case)
@@ -260,6 +286,57 @@ class TestSequenceQuality:
         ref = [random_plane(rng, 32, 24)]
         with pytest.raises(ValueError, match="2-D uint8"):
             sequence_quality(ref, [ref[0].astype(np.int16)])
+
+    def test_size_mismatch_names_the_frame_width_and_height(self, rng):
+        ref = [random_plane(rng, 32, 24) for _ in range(3)]
+        dist = ref[:2] + [random_plane(rng, 24, 32)]
+        with pytest.raises(
+            ValueError, match="^frame 2: reference is 32x24, distorted is 24x32$"
+        ):
+            sequence_quality(ref, dist)
+
+    def test_two_cpus_equal_one(self, rng, monkeypatch):
+        ref = [random_plane(rng, 64, 48) for _ in range(5)]
+        dist = [
+            np.clip(f.astype(np.int16) + rng.integers(-9, 10, f.shape), 0, 255)
+            .astype(np.uint8)
+            for f in ref
+        ]
+        one = _quality_on_cpus(monkeypatch, 1, ref, dist)
+        two = _quality_on_cpus(monkeypatch, 2, ref, dist)
+        assert one[0] == [1] and two[0] == [2]
+        assert len(set(one[1].ssim)) == 5
+        assert one[1] == two[1]
+        assert one[1].ssim == [ssim(r, d) for r, d in zip(ref, dist)]
+
+    def test_pair_error_reaches_the_caller(self, rng, monkeypatch):
+        ref = [random_plane(rng, 32, 24) for _ in range(5)]
+        raised = ValueError("pair 3 is unreadable")
+
+        def failing(a, b):
+            if a is ref[3]:
+                raise raised
+            return ssim(a, b)
+
+        monkeypatch.setattr(quality, "ssim", failing)
+        with pytest.raises(ValueError) as info:
+            _quality_on_cpus(monkeypatch, 2, ref, ref)
+        assert info.value is raised
+
+
+def _quality_on_cpus(monkeypatch, cpus, ref, dist):
+    """sequence_quality on `cpus` CPUs; returns the worker count its map was
+    given and the report."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    workers = []
+
+    def pooled(fn, items, n):
+        workers.append(n)
+        return ordered_map(fn, items, n)
+
+    monkeypatch.setattr(quality, "ordered_map", pooled)
+    return workers, sequence_quality(ref, dist)
 
 
 class TestRdCsv:
