@@ -27,7 +27,32 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-SSIM_STRIP_ROWS = 64
+
+# SSIM is scored in strips of this many window rows.  Each strip reads its
+# rows plus SSIM_WINDOW - 1 more from both frames, so the float temporaries
+# of one call stay a strip in size, and frame pairs scored at once on
+# several threads hold little more than one whole-frame call did.  Measured
+# on a 2-CPU x86-64 Linux host with numpy 2.4, on two 33-frame CIF clips
+# (static against static_noise at amplitude 3): the tracemalloc peak of one
+# call; SSIM over the 33 pairs on one thread under `taskset -c 0` (median
+# of 10 alternating fresh processes); and the whole `gfstill quality` run
+# on 2 CPUs (median of 11, quartiles about 50 ms apart):
+#
+#   strip rows    call peak MiB          SSIM, 1 CPU   quality, 2 CPUs
+#                 QCIF   CIF    720p     ms            ms    peak RSS MiB
+#   16            0.45   1.27    8.87     601           716   43.41
+#   32            0.65   1.71   10.39     454           568   43.82
+#   64            1.10   2.63   13.49     393           518   44.91
+#   96            1.55   3.36   16.60     359           506   45.71
+#   128           2.00   4.20   19.70     355           503   46.68
+#   256           2.09   7.50   32.14     356           495   52.84
+#   whole frame   2.09   8.08   75.98     330           473   53.75
+#
+# Whole frames on one thread, as before the strips, read 351 ms for SSIM
+# and 624 ms, 44.21 MiB for the run.  Each strip filters its extra rows
+# again, so short strips cost time on one CPU; from 96 rows that cost is
+# within the noise, and above it peak RSS grows about 1 MiB per 32 rows.
+SSIM_STRIP_ROWS = 96
 
 BD_FIT_DEGREE = 3
 
