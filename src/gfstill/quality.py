@@ -31,7 +31,7 @@ SSIM_K2 = 0.03
 # SSIM is scored in strips of this many window rows.  Each strip reads its
 # rows plus SSIM_WINDOW - 1 more from both frames, so the float temporaries
 # of one call stay a strip in size, and frame pairs scored at once on
-# several threads hold little more than one whole-frame call did.  Measured
+# several threads hold little more than one whole-frame call.  Measured
 # on a 2-CPU x86-64 Linux host with numpy 2.4, on two 33-frame CIF clips
 # (static against static_noise at amplitude 3): the tracemalloc peak of one
 # call; SSIM over the 33 pairs on one thread under `taskset -c 0` (median
@@ -48,8 +48,8 @@ SSIM_K2 = 0.03
 #   256           2.09   7.50   32.14     356           495   52.84
 #   whole frame   2.09   8.08   75.98     330           473   53.75
 #
-# Whole frames on one thread, as before the strips, read 351 ms for SSIM
-# and 624 ms, 44.21 MiB for the run.  Each strip filters its extra rows
+# The whole-frame kernel on one thread reads 351 ms for SSIM and 624 ms,
+# 44.21 MiB for the run.  Each strip filters its extra rows
 # again, so short strips cost time on one CPU; from 96 rows that cost is
 # within the noise, and above it peak RSS grows about 1 MiB per 32 rows.
 SSIM_STRIP_ROWS = 96

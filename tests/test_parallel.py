@@ -21,6 +21,25 @@ def test_results_keep_item_order_whatever_finishes_first():
     assert ordered_map(slow_first, [], 2) == []
 
 
+def test_every_item_runs_once_under_frequent_thread_switches():
+    # more workers than CPUs, switching threads as often as the interpreter
+    # allows: an index handed out twice or skipped shows in the counts
+    calls = [0] * 3000
+
+    def count(i):
+        calls[i] += 1
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = ordered_map(count, range(len(calls)), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [-i for i in range(len(calls))]
+    assert calls == [1] * len(calls)
+
+
 def test_one_worker_runs_inline_without_the_pool_module():
     code = (
         "import sys\n"
