@@ -92,12 +92,16 @@ def motion_search(
     """
     check_luma(cur)
     check_luma(ref)
+    # compared before padding, which can bring two sizes to one grid
+    if cur.shape != ref.shape:
+        raise ValueError(
+            f"current is {cur.shape[1]}x{cur.shape[0]}, "
+            f"reference is {ref.shape[1]}x{ref.shape[0]}"
+        )
     cfg = cfg or SearchConfig()
     bs, r = cfg.block_size, cfg.search_range
     cur_s = pad_to_block_grid(cur, bs)
     ref_s = pad_to_block_grid(ref, bs)
-    if cur_s.shape != ref_s.shape:
-        raise ValueError("current and reference frames differ in size")
     h, w = cur_s.shape
     rows, cols = h // bs, w // bs
     # no window reaches further than the padded frame, whatever the range

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from bisect import insort
+from bisect import bisect
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import IO, Sequence
@@ -175,15 +175,6 @@ def _segment_run(start: int, n_frames: int, target: int) -> list[tuple[int, int]
     return out
 
 
-def _nearest_past_refs(display: int, coded: list[int]) -> dict[str, int]:
-    past = [c for c in coded if c < display]
-    refs: dict[str, int] = {}
-    for slot, value in zip(PAST_SLOTS, reversed(past)):
-        refs[slot] = value
-    refs["GOLDEN"] = 0
-    return refs
-
-
 def _pyramid_events(interval: int) -> list[tuple[str, int, int]]:
     """In-order traversal of the binary split: (kind, display, layer)."""
     events: list[tuple[str, int, int]] = []
@@ -226,35 +217,32 @@ def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
             refs={"LAST": 0, "GOLDEN": 0},
         )
     ]
-    coded = [0, interval]
+    coded = [0, interval]  # sorted displays coded so far
     for kind, display, layer in events:
+        # coded[:i] precedes display, nearest last; coded[i:] follows it
+        i = bisect(coded, display)
         # refs are inserted in REF_SLOTS order; plans_to_json keeps that order
-        refs = _nearest_past_refs(display, coded)
+        refs = dict(zip(PAST_SLOTS, reversed(coded[:i])))
+        refs["GOLDEN"] = 0
         if not still:
-            future = [c for c in coded if c > display]
-            refs.update(zip(("BWDREF", "ALTREF2"), future))
+            refs.update(zip(("BWDREF", "ALTREF2"), coded[i:]))
         refs["ALTREF"] = interval
-        if kind == "anchor":
-            span_reach = min(display - a for a in coded if a < display)
-            role = (
-                FrameRole.EXTRA_ALTREF
-                if span_reach > EXTRA_ALTREF_MIN_REACH
-                else FrameRole.BWDREF
-            )
-            entry_layer = layer
+        if kind == "leaf":
+            role, layer = FrameRole.REGULAR, leaf_layer
+        elif display - coded[i - 1] > EXTRA_ALTREF_MIN_REACH:
+            role = FrameRole.EXTRA_ALTREF
         else:
-            role = FrameRole.REGULAR
-            entry_layer = leaf_layer
+            role = FrameRole.BWDREF
         entries.append(
             PlanEntry(
                 display_index=display,
                 encode_order=len(entries),
                 role=role,
-                layer=entry_layer,
+                layer=layer,
                 refs=refs,
             )
         )
-        insort(coded, display)
+        coded.insert(i, display)
     entries.append(
         PlanEntry(
             display_index=interval,
@@ -290,115 +278,91 @@ def validate_plan(
     """Check a plan's structural sanity; returns all violations found, so an
     empty list means the plan is valid.
 
-    Checks: decode-before-reference order, exactly-once display coverage
-    (overlays excluded), reference liveness within the slot budget,
-    single-layer role restrictions, and slot direction consistency.
+    Checks, by name: "decode_order" (encode orders are 0..n-1, and nothing
+    references or shows a display before it is coded), "coverage" (each
+    display 1..interval coded once, overlays aside), "buffer" (at most
+    buffer_slots references live), "structure" (no pyramid roles in a
+    single-layer plan) and "slot_direction" (known slots, each pointing the
+    way its name says).  The list holds the two whole-plan checks first, then
+    what one replay of the entries finds, in encode order.
     """
     violations: list[PlanViolation] = []
     entries = sorted(plan.entries, key=lambda e: e.encode_order)
-
-    orders = [e.encode_order for e in entries]
-    if orders != list(range(len(entries))):
+    if [e.encode_order for e in entries] != list(range(len(entries))):
         violations.append(
             PlanViolation("decode_order", f"encode_order not 0..{len(entries) - 1}")
         )
-
-    # (b) every display coded exactly once, overlays aside
-    coded_displays = [e.display_index for e in entries if not e.show_existing]
-    if sorted(coded_displays) != list(range(1, plan.interval + 1)):
+    coded_displays = sorted(e.display_index for e in entries if not e.show_existing)
+    if coded_displays != list(range(1, plan.interval + 1)):
         violations.append(
             PlanViolation(
                 "coverage",
-                f"coded displays {sorted(coded_displays)} are not "
+                f"coded displays {coded_displays} are not "
                 f"1..{plan.interval} exactly once",
             )
         )
 
-    # (a) decode before reference; display 0 is pre-coded by the caller
-    available = {0}
-    for e in entries:
+    # still_needed[i]: displays that entry i or a later one references or shows
+    still_needed: list[set[int]] = []
+    needed: set[int] = set()
+    for e in reversed(entries):
+        shown = [e.display_index] if e.show_existing else []
+        needed = needed.union(e.refs.values(), shown)
+        still_needed.append(needed)
+    still_needed.reverse()
+
+    flat = plan.structure == SINGLE_LAYER
+    coded = {0}  # display 0 is pre-coded by the caller
+    for e, needed in zip(entries, still_needed):
+        order, display = e.encode_order, e.display_index
         for slot, target in e.refs.items():
-            if target not in available:
+            if target not in coded:
                 violations.append(
                     PlanViolation(
                         "decode_order",
-                        f"entry at encode {e.encode_order} references display "
+                        f"entry at encode {order} references display "
                         f"{target} ({slot}) before it is coded",
                     )
                 )
-        if e.show_existing and e.display_index not in available:
+            if slot not in REF_SLOTS:
+                message = f"unknown reference slot {slot!r}"
+            elif slot in PAST_SLOTS and target >= display:
+                message = (
+                    f"{slot} of display {display} points at non-past display {target}"
+                )
+            elif slot in FUTURE_SLOTS and target <= display:
+                message = (
+                    f"{slot} of display {display} points at non-future display {target}"
+                )
+            else:
+                continue
+            violations.append(PlanViolation("slot_direction", message))
+        if e.show_existing and display not in coded:
             violations.append(
                 PlanViolation(
                     "decode_order",
-                    f"overlay at encode {e.encode_order} shows display "
-                    f"{e.display_index} before it is coded",
+                    f"overlay at encode {order} shows display "
+                    f"{display} before it is coded",
                 )
             )
-        if not e.show_existing:
-            available.add(e.display_index)
-
-    # (c) live reference set within the slot budget at every step
-    def needs(e: PlanEntry) -> set[int]:
-        needed = set(e.refs.values())
-        if e.show_existing:
-            needed.add(e.display_index)
-        return needed
-
-    suffix: list[set[int]] = [set() for _ in entries]
-    acc: set[int] = set()
-    for i in range(len(entries) - 1, -1, -1):
-        acc = acc | needs(entries[i])
-        suffix[i] = acc
-    coded = {0}
-    for i, e in enumerate(entries):
-        live = suffix[i] & coded
-        if len(live) > buffer_slots:
+        live = len(needed & coded)
+        if live > buffer_slots:
             violations.append(
                 PlanViolation(
                     "buffer",
-                    f"{len(live)} references live at encode {e.encode_order}, "
+                    f"{live} references live at encode {order}, "
                     f"budget is {buffer_slots}",
                 )
             )
+        if flat and e.role in (FrameRole.EXTRA_ALTREF, FrameRole.BWDREF):
+            violations.append(
+                PlanViolation(
+                    "structure",
+                    f"single-layer plan contains {e.role.value} at display {display}",
+                )
+            )
         if not e.show_existing:
-            coded.add(e.display_index)
-
-    # (d) flat structure must not carry pyramid roles
-    if plan.structure == SINGLE_LAYER:
-        for e in entries:
-            if e.role in (FrameRole.EXTRA_ALTREF, FrameRole.BWDREF):
-                violations.append(
-                    PlanViolation(
-                        "structure",
-                        f"single-layer plan contains {e.role.value} at display "
-                        f"{e.display_index}",
-                    )
-                )
-
-    # (e) named slots must point the way their name says
-    for e in entries:
-        for slot, target in e.refs.items():
-            if slot not in REF_SLOTS:
-                violations.append(
-                    PlanViolation("slot_direction", f"unknown reference slot {slot!r}")
-                )
-            elif slot in PAST_SLOTS and target >= e.display_index:
-                violations.append(
-                    PlanViolation(
-                        "slot_direction",
-                        f"{slot} of display {e.display_index} points at "
-                        f"non-past display {target}",
-                    )
-                )
-            elif slot in FUTURE_SLOTS and target <= e.display_index:
-                violations.append(
-                    PlanViolation(
-                        "slot_direction",
-                        f"{slot} of display {e.display_index} points at "
-                        f"non-future display {target}",
-                    )
-                )
-
+            coded.add(display)
     return violations
 
 

@@ -54,7 +54,8 @@ class GfGroupMetrics:
             raise ValueError("interval must be >= 1")
         if not 0.0 <= self.zero_motion_accumulator <= 1.0:
             raise ValueError("zero_motion_accumulator must lie in [0, 1]")
-        if self.avg_pixel_error < 0 or self.avg_error_stdev < 0:
+        # written so that NaN fails, as in StillnessThresholds
+        if not (self.avg_pixel_error >= 0 and self.avg_error_stdev >= 0):
             raise ValueError("error metrics must be non-negative")
 
 

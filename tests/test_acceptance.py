@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,6 +43,9 @@ from test_stillness import _stats
 # any platform- or revision-dependent drift in the generator trips these
 PAN_CLIP_SHA256 = "6f4e7ae62ae443c10f8c42fee3987d6ee0cbcac5fd94b45380ad80d408363ec2"
 STATIC_CLIP_SHA256 = "37dcd05ac4590237680789226dd6995220398f578d4f77381103c68dfc740e19"
+# frozen SHA-256 of the entries JSON of plan_group(interval, verdict) for
+# every interval 1..16 and both verdicts; the goldens reach only a few plans
+PLANS_SHA256 = "58c09b3a3bf5caf0cc26a3fdc4d9693d3377271c832042f967ca83c2d32d1820"
 
 
 def test_c1_block_search_matches_brute_force_oracle(rng):
@@ -168,6 +172,16 @@ def test_c8_outputs_are_deterministic(tmp_path):
     assert hashlib.sha256(serialize_y4m(seq)).hexdigest() == PAN_CLIP_SHA256
     static = generate(SynthSpec("static", width=176, height=144, frame_count=16))
     assert hashlib.sha256(serialize_y4m(static)).hexdigest() == STATIC_CLIP_SHA256
+
+
+def test_c8_every_plan_is_pinned():
+    plans = [
+        [asdict(e) for e in plan_group(interval, verdict).entries]
+        for interval in range(1, 17)
+        for verdict in ("still", "non-still")
+    ]
+    digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
+    assert digest == PLANS_SHA256
 
 
 def test_c9_group_metrics_match_hand_computation():

@@ -98,6 +98,13 @@ class TestBlockSearch:
         with pytest.raises(ValueError):
             motion_search(_textured(64, 48), _textured(80, 48))
 
+    @pytest.mark.parametrize("search", [motion_search, analyze_frame])
+    def test_sizes_that_pad_to_one_grid_are_rejected(self, search):
+        # both pad to 48x32 at block 16; compared after padding, the pair was
+        # searched as if aligned
+        with pytest.raises(ValueError, match="^current is 33x20, reference is 40x24$"):
+            search(_textured(33, 20), _textured(40, 24))
+
     @pytest.mark.parametrize("bad", NOT_LUMA)
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
     def test_rejects_frames_that_are_not_2d_uint8(self, bad, kind):

@@ -14,6 +14,7 @@ from gfstill.gop_planner import (
     MIN_GROUP_INTERVAL,
     MULTILAYER,
     REF_BUFFER_SLOTS,
+    REF_SLOTS,
     SINGLE_LAYER,
     FrameRole,
     GfGroupPlan,
@@ -335,6 +336,33 @@ class TestValidation:
         plan.entries[-1].encode_order = 9
         violations = validate_plan(plan)
         assert any(v.check == "decode_order" for v in violations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        interval=st.integers(1, MAX_GROUP_INTERVAL),
+        verdict=st.sampled_from(["still", "non-still"]),
+        data=st.data(),
+    )
+    def test_buffer_check_agrees_with_independent_count(self, interval, verdict, data):
+        plan = plan_group(interval, verdict)
+        display = st.integers(0, interval + 1)
+        for _ in range(data.draw(st.integers(0, 3))):
+            e = data.draw(st.sampled_from(plan.entries))
+            field = data.draw(st.sampled_from(["refs", "display", "show_existing"]))
+            if field == "refs":
+                e.refs[data.draw(st.sampled_from(REF_SLOTS))] = data.draw(display)
+            elif field == "display":
+                e.display_index = data.draw(display)
+            else:
+                e.show_existing = not e.show_existing
+        entries = data.draw(st.permutations(plan.entries))
+        shuffled = GfGroupPlan(plan.interval, plan.structure, entries)
+        for budget in range(10):
+            violations = validate_plan(plan, budget)
+            flagged = any(v.check == "buffer" for v in violations)
+            assert flagged == (max_live_references(plan) > budget)
+            # encode orders stay distinct, so list order depends on them alone
+            assert validate_plan(shuffled, budget) == violations
 
 
 class TestPlanSequence:

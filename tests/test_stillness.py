@@ -195,6 +195,14 @@ class TestClassification:
         with pytest.raises(ValueError):
             GfGroupMetrics(0, 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["avg_pixel_error", "avg_error_stdev"])
+    def test_nan_error_metric_rejected(self, name):
+        # NaN passed a `< 0` test, classified as non-still and later broke
+        # metric_histograms
+        errors = {"avg_pixel_error": 0.0, "avg_error_stdev": 0.0, name: math.nan}
+        with pytest.raises(ValueError, match="non-negative"):
+            GfGroupMetrics(4, 0.95, **errors)
+
 
 class TestDump:
     def test_csv_layout_frozen(self):
