@@ -9,9 +9,11 @@ frames yields a negative dx.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .video_io import check_luma
 
@@ -24,6 +26,17 @@ _LDSP = np.array(
 )
 _SDSP = np.array(((0, 0), (0, -1), (1, 0), (0, 1), (-1, 0)))
 
+# (block, vector) pairs a tile of the exhaustive search bounds at once, about
+# 20 bytes each.  ms per call on one CPU (median of 5 alternating runs; pan at
+# 4, noise is static_noise at 2) and block 16, range 8 tracemalloc peak, on a
+# 2-CPU x86-64 host with numpy 2.4:
+#   tile    CIF b16 r8, r32   720p b16 r8, r32   720p noise b8   MiB CIF, 720p
+#   2**14       4.4  32.1         40.3  255            151          1.5  10.6
+#   2**15       5.0  32.3         33.6  228            117          2.1  10.6
+#   2**16       5.7  31.4         31.4  201            104          3.0  10.6
+#   2**17       4.5  40.4         30.2  218            100          3.8  13.0
+SEARCH_TILE = 2**16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -32,6 +45,9 @@ class SearchConfig:
     search_kind: str = "exhaustive"
 
     def __post_init__(self):
+        for name in ("block_size", "search_range"):
+            if not hasattr(type(getattr(self, name)), "__index__"):
+                raise ValueError(f"{name} must be an integer")
         if self.block_size not in BLOCK_SIZES:
             raise ValueError(f"block_size must be one of {BLOCK_SIZES}")
         if self.search_range < 1:
@@ -61,16 +77,6 @@ def pad_to_block_grid(samples: np.ndarray, block_size: int) -> np.ndarray:
     if ph == 0 and pw == 0:
         return samples
     return np.pad(samples, ((0, ph), (0, pw)), mode="edge")
-
-
-def _nonzero_candidates(ry: int, rx: int):
-    """Every (dx, dy) != (0, 0) with |dy| <= ry and |dx| <= rx, in
-    tie-break order: ascending |dx|+|dy|, then dy, then dx."""
-    for d in range(1, ry + rx + 1):
-        for dy in range(-min(ry, d), min(ry, d) + 1):
-            m = d - abs(dy)
-            if m <= rx:
-                yield from ((-m, dy), (m, dy)) if m else ((0, dy),)
 
 
 def motion_search(
@@ -111,20 +117,11 @@ def motion_search(
     cur16 = cur_s.astype(np.int16, order="C")
     ref16 = ref_s.astype(np.int16, order="C")
 
-    def grid(dx: int, dy: int) -> tuple[int, int, int, int]:
-        """Block rows b0:b1 and columns c0:c1 whose window at (dx, dy) stays
-        inside the padded frame."""
-        return (
-            max(0, -(dy // bs)),
-            min(rows, (h - dy) // bs),
-            max(0, -(dx // bs)),
-            min(cols, (w - dx) // bs),
-        )
-
     def block_sse(dx: int, dy: int) -> tuple[tuple[slice, slice], np.ndarray]:
         """SSE at (dx, dy) of the blocks whose window stays inside the padded
         frame, with the grid slices that locate those blocks."""
-        b0, b1, c0, c1 = grid(dx, dy)
+        b0, b1 = max(0, -(dy // bs)), min(rows, (h - dy) // bs)
+        c0, c1 = max(0, -(dx // bs)), min(cols, (w - dx) // bs)
         diff = cur16[b0 * bs : b1 * bs, c0 * bs : c1 * bs] - ref16[
             b0 * bs + dy : b1 * bs + dy, c0 * bs + dx : c1 * bs + dx
         ]
@@ -143,49 +140,77 @@ def motion_search(
     # Successive elimination (Li & Salari, IEEE TIP 1995) over 2x2 sub-blocks
     # (Gao, Duanmu & Zou, IEEE TIP 2000): by Cauchy-Schwarz, the sum over the
     # four sub-blocks of (sum cur - sum ref)**2 is at most n * SSE, with n the
-    # pixels in a sub-block.  A block whose bound reaches n * best has
-    # SSE >= best, and blocks move only on a strictly lower SSE, so skipping
-    # it changes nothing, tie-breaks included.
-    half = bs // 2
+    # pixels in a sub-block.  Each tile bounds all its (block, vector) pairs,
+    # then scores each block's least-bound vector and those bound by its best.
+    half, ky, kx = bs // 2, 2 * ry + 1, 2 * rx + 1
     n = half * half
-    # a 16x16 window of samples can sum past the int16 range
-    ref_sub = _window_sums(ref16.astype(np.int32), half).astype(np.int64)
-    cur_sub = _block_sums(cur16, half).astype(np.int64)
-    cur_blocks = cur16.reshape(rows, bs, cols, bs)
-    mv = np.zeros((rows, cols, 2), np.int64)
-    best = zero.copy()
-    # visiting in tie-break order and moving only on a strictly lower SSE
-    # keeps the first of equally good candidates
-    for dx, dy in _nonzero_candidates(ry, rx):
-        b0, b1, c0, c1 = grid(dx, dy)
-        y0, x0 = b0 * bs + dy, c0 * bs + dx
-        d = (
-            cur_sub[2 * b0 : 2 * b1, 2 * c0 : 2 * c1]
-            - ref_sub[y0 : b1 * bs + dy : half, x0 : c1 * bs + dx : half]
-        )
-        d *= d
-        d = d[0::2] + d[1::2]
-        bound = d[:, 0::2] + d[:, 1::2]
-        sub_best = best[b0:b1, c0:c1]
-        live = bound < n * sub_best
-        bi, ci = np.nonzero(live)
-        if not bi.size:
-            continue
-        if 2 * bi.size > live.size:
-            # most blocks survive: the whole-grid SSE is cheaper than a gather
-            sse = block_sse(dx, dy)[1][bi, ci]
-        else:
-            window = ref16[y0 : b1 * bs + dy, x0 : c1 * bs + dx].reshape(
-                b1 - b0, bs, c1 - c0, bs
-            )
-            diff = cur_blocks[bi + b0, :, ci + c0] - window[bi, :, ci]
+    # sub[ry + y, rx + x] sums the half x half window at (y, x); off the frame
+    # it reads 2**20, and one such term, over 2**39, exceeds n * any SSE < 2**34
+    sub = _window_sums(ref16.astype(np.int32), half)
+    sub = np.pad(sub, ((ry,), (rx,)), constant_values=2**20)
+    s0, s1 = sub.strides
+    strides = (half * s0, half * s1, bs * s0, bs * s1, s0, s1)
+    cur_sub = _block_sums(cur16, half).reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)
+    cur_blocks = cur16.reshape(rows, bs, cols, bs).swapaxes(1, 2).reshape(-1, bs, bs)
+    windows = sliding_window_view(ref16, (bs, bs))
+    # one int64 key per block, sse << shift | tie code, orders (sse, |dx|+|dy|,
+    # dy, dx); the tie code holds (|dx|+|dy|, dy) and whether dx > 0
+    shift = (2 * (ry + rx + 1) * ky).bit_length()
+    best = zero.ravel() << shift | ry << 1
+
+    def vectors(k: np.ndarray, y0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dx, dy and tie code of vector k of a tile whose rows start at y0."""
+        dy, dx = np.divmod(k, kx)
+        dy += y0 - ry
+        dx -= rx
+        return dx, dy, ((abs(dx) + abs(dy)) * ky + dy + ry) << 1 | (dx > 0)
+
+    def score(blocks: np.ndarray, k: np.ndarray, y0: int) -> None:
+        """Lower the key of each block to the least over the vectors k."""
+        dx, dy, tie = vectors(k, y0)
+        y, x = np.divmod(blocks, cols)
+        y, x, sse = y * bs + dy, x * bs + dx, np.empty(blocks.size, np.int64)
+        step = max(1, SEARCH_TILE // (bs * bs))  # samples gathered at once
+        for s in (np.s_[i : i + step] for i in range(0, blocks.size, step)):
+            diff = cur_blocks[blocks[s]] - windows[y[s], x[s]]
             diff *= diff
-            sse = diff.view(np.uint16).sum(axis=(1, 2), dtype=np.int32)
-        better = sse < sub_best[bi, ci]
-        bi, ci = bi[better], ci[better]
-        sub_best[bi, ci] = sse[better]
-        mv[bi + b0, ci + c0] = dx, dy
-    return mv, best, zero
+            sse[s] = diff.view(np.uint16).sum(axis=(1, 2), dtype=np.int32)
+        np.minimum.at(best, blocks, sse << shift | tie)
+
+    # tiles of tb block rows by ty vector rows, those nearest dy = 0 first
+    ty = min(ky, max(1, SEARCH_TILE // (cols * kx)))
+    tb = max(1, SEARCH_TILE // (cols * kx * ty))
+    near = sorted(range(0, ky, ty), key=lambda y0: abs(2 * (y0 - ry) + ty - 1))
+    for b0, y0 in itertools.product(range(0, rows, tb), near):
+        shape = (min(tb, rows - b0), cols, min(ty, ky - y0), kx)
+        # views[i, j, b, c, y, x] sums sub-block (i, j) of the window of block
+        # (b0 + b, c) at vector row y0 + y, column x; cur_sub[i, j] the block's
+        views = as_strided(sub[b0 * bs + y0 :], (2, 2, *shape), strides)
+        diff = np.empty(shape, np.int32)  # no cast to subtract; squares in int64
+        bound, term = np.zeros(shape, np.int64), np.empty(shape, np.int64)
+        for i, j in itertools.product((0, 1), (0, 1)):
+            sums = cur_sub[i, j, b0 : b0 + tb, :, None, None]
+            np.subtract(views[i, j], sums, out=diff)
+            bound += np.square(diff, out=term, dtype=np.int64)
+        bound = bound.reshape(shape[0] * cols, -1)
+        tile = best[b0 * cols : b0 * cols + bound.shape[0]]
+        seeds = bound.argmin(axis=1)
+        live = np.flatnonzero(bound[np.arange(tile.size), seeds] <= n * (tile >> shift))
+        if not live.size:
+            continue
+        # a live block's least bound is below the sentinel's: it is in the frame
+        score(live + b0 * cols, seeds[live], y0)
+        limit = n * (tile >> shift)
+        bound[live, seeds[live]] = limit[live] + 1  # scored already
+        # a bound of n * best allows only a tie, so it passes on a lower tie code
+        tie = vectors(np.arange(bound.shape[1]), y0)[2]
+        bound -= tie < (tile & (1 << shift) - 1)[:, None]
+        blocks, k = np.divmod(np.flatnonzero(bound < limit[:, None]), bound.shape[1])
+        score(blocks + b0 * cols, k, y0)
+    dist, dy = np.divmod((best & (1 << shift) - 1) >> 1, ky)
+    dx = np.where(best & 1, 1, -1) * (dist - abs(dy - ry))
+    mv = np.stack((dx, dy - ry), axis=1).reshape(rows, cols, 2)
+    return mv, (best >> shift).reshape(rows, cols), zero
 
 
 def _block_sums(a: np.ndarray, size: int) -> np.ndarray:

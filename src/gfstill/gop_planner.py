@@ -42,23 +42,25 @@ REF_BUFFER_SLOTS = 8
 
 # Frames of at least this many pixels have their first-pass pairs spread
 # over every CPU in the affinity mask; smaller frames use one worker.  The
-# search spends its time in numpy calls that release the GIL, but the
-# exhaustive loop issues many small ones, which contend for it on smaller
-# frames.  Speed-up of plan_sequence on 17 frames, 2 CPUs against 1, on a
-# 2-CPU x86-64 Linux host with numpy 2.4 (median of 7 alternating pairs;
-# block 16, range 8; pan at amplitude 4, static_noise at 2):
+# search spends its time in numpy calls that release the GIL.  Speed-up of
+# plan_sequence on 17 frames, 2 CPUs against 1, on a 2-CPU x86-64 Linux host
+# with numpy 2.4 (median of 7 alternating pairs; block 16, range 8; pan at
+# amplitude 4, static_noise at 2; exhaustive columns with the tiled search):
 #
 #   frame     pixels   diamond pan/noise   exhaustive pan/noise
-#   1280x720  921,600     1.81 / 1.87          1.57 / 1.22
-#   1024x576  589,824     1.85 / 1.78          1.30 / 1.01
-#   960x540   518,400     1.85 / 1.76          1.22 / 0.95
-#   854x480   409,920     1.77 / 1.56          0.98 / 0.86
-#   640x360   230,400     1.57 / 1.51          0.80 / 0.68
-#   352x288   101,376     1.23 / 1.14          0.84 / 0.76
-#   176x144    25,344     0.68 / 0.67          0.84 / 0.85
+#   1280x720  921,600     1.81 / 1.87          1.56 / 1.45
+#   1024x576  589,824     1.85 / 1.78          1.47 / 1.32
+#   960x540   518,400     1.85 / 1.76          1.59 / 1.33
+#   854x480   409,920     1.77 / 1.56          1.46 / 1.10
+#   640x360   230,400     1.57 / 1.51          1.33 / 1.17
+#   352x288   101,376     1.23 / 1.14          1.17 / 0.99
+#   176x144    25,344     0.68 / 0.67          0.99 / 0.99
 #
-# The gate sits between the largest size with a cell below 1 and the
-# smallest size without one.
+# The gate sits above every size with a cell below 1.  At 2**17 it would
+# pool 640x360 to 854x480 too, which gain in every cell, but no benchmark
+# workload runs those sizes.  At 2**16 CIF pools as well: `plan` on a
+# 33-frame CIF pan then peaks at 40.5 MiB RSS against 37.0 (+9%), for at
+# most 1.17x.
 POOL_MIN_PIXELS = 2**19
 
 # A midpoint anchor more than this far from its span ends serves a long

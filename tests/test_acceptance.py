@@ -46,6 +46,9 @@ STATIC_CLIP_SHA256 = "37dcd05ac4590237680789226dd6995220398f578d4f77381103c68dfc
 # frozen SHA-256 of the entries JSON of plan_group(interval, verdict) for
 # every interval 1..16 and both verdicts; the goldens reach only a few plans
 PLANS_SHA256 = "58c09b3a3bf5caf0cc26a3fdc4d9693d3377271c832042f967ca83c2d32d1820"
+# frozen SHA-256 of `plan --search-range 32` stdout for 5-frame 352x288 pan
+# and zoom clips at blocks 8, 16 and 32; no benchmark workload searches that far
+RANGE_32_PLANS_SHA256 = "b9c94699291c0ab6751c2c97fc1148ce5fbe0aad11bfaf8cd2530a2f4e89ecbf"
 
 
 def test_c1_block_search_matches_brute_force_oracle(rng):
@@ -182,6 +185,18 @@ def test_c8_every_plan_is_pinned():
     ]
     digest = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
     assert digest == PLANS_SHA256
+
+
+def test_c8_range_32_plans_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for kind in ("pan", "zoom"):
+        clip = tmp_path / f"{kind}.y4m"
+        write_y4m(generate(SynthSpec(kind, 352, 288, 5, amplitude=4.0)), clip)
+        for block in ("8", "16", "32"):
+            args = ["plan", str(clip), "--search-range", "32", "--block-size", block]
+            assert main(args) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == RANGE_32_PLANS_SHA256
 
 
 def test_c9_group_metrics_match_hand_computation():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from conftest import (
     brute_force_diamond_search,
     random_plane,
 )
+from gfstill import first_pass
 from gfstill.first_pass import (
     SearchConfig,
     analyze_frame,
@@ -223,6 +226,60 @@ class TestOracleProperty:
             assert np.array_equal(got, want)
 
 
+class TestTiles:
+    @pytest.mark.parametrize(
+        "content, block_size, search_range",
+        [("shifted", 16, 12), ("extremes", 32, 40)],
+    )
+    def test_tile_boundaries_change_nothing(
+        self, monkeypatch, content, block_size, search_range
+    ):
+        # 100x75 pads to 5 block rows at block 16 and 3 at block 32; a tile of
+        # 1 or 2000 pairs holds one block row and part of the vector rows, so
+        # tiles meet inside the grid along both axes
+        if content == "extremes":
+            cur = np.zeros((75, 100), np.uint8)
+            ref = np.full((75, 100), 255, np.uint8)
+        else:
+            cur, ref = _frames(content, 75, 100, seed=7)
+        cfg = SearchConfig(block_size, search_range)
+        monkeypatch.setattr(first_pass, "SEARCH_TILE", 2**40)
+        one_tile = motion_search(cur, ref, cfg)
+        for tile in (1, 2000):
+            monkeypatch.setattr(first_pass, "SEARCH_TILE", tile)
+            _assert_matches_oracle(cur, ref, cfg)
+            for got, want in zip(motion_search(cur, ref, cfg), one_tile):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_bound_equal_to_n_times_best_can_win_a_tie(self, monkeypatch):
+        # block (1, 1) matches two flat patches equally well, so both bounds
+        # equal n * SSE; tile order reaches (-16, -1) first and (0, 2) later,
+        # and the later one wins the tie on |dx| + |dy|
+        cur = np.full((64, 64), 100, np.uint8)
+        ref = np.zeros((64, 64), np.uint8)
+        ref[15:31, :16] = ref[18:34, 16:32] = 110
+        cfg = SearchConfig(16, 16)
+        monkeypatch.setattr(first_pass, "SEARCH_TILE", 1)
+        mv, best, _ = motion_search(cur, ref, cfg)
+        assert tuple(mv[1, 1]) == (0, 2) and best[1, 1] == 16 * 16 * 10**2
+        _assert_matches_oracle(cur, ref, cfg)
+
+    def test_peak_memory_is_bounded_whatever_the_range(self):
+        # the sum table grows with the range until the range reaches past the
+        # frame, the tiles not at all: 4.7 MiB at range 8 and 11.5 MiB past
+        # the frame (numpy 2.4); one tile for the whole frame would need GiBs
+        plane = _textured(640, 360)
+        peaks = []
+        for search_range in (8, 10_000):
+            tracemalloc.start()
+            try:
+                motion_search(plane, plane, SearchConfig(32, search_range))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0]
+
+
 class TestDiamond:
     def test_never_beats_exhaustive(self, rng):
         diamond = SearchConfig(search_kind="diamond")
@@ -356,6 +413,11 @@ class TestSearchConfig:
             {"block_size": 12},
             {"search_range": 0},
             {"search_kind": "spiral"},
+            # 2.5 and 16.0 were accepted and failed later, inside the search;
+            # "3" raised TypeError
+            {"search_range": 2.5},
+            {"block_size": 16.0},
+            {"search_range": "3"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
