@@ -9,7 +9,7 @@ quality, in percent.
 
 import numpy as np
 
-from gfstill import RdCurve, SynthSpec, bd_rate, generate, psnr, ssim
+from gfstill import SynthSpec, bd_rate, generate, psnr, ssim
 
 # degrade a synthetic frame with increasing amounts of clipped noise
 base = generate(SynthSpec("static", width=176, height=144)).frames[0].samples
@@ -26,16 +26,14 @@ for stdev in (0, 2, 5, 10, 20):
 
 # BD-rate on synthetic RD curves.  Scaling every bitrate by a constant
 # factor shifts log-rate uniformly, so the answer is exactly that factor.
-pairs = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
-base_curve = RdCurve.from_pairs(pairs)
+# A curve is a list of (bitrate, quality) pairs.
+base_curve = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
 print(f"\n{'rate scaling':>12} {'BD-rate %':>10}")
 for scale in (1.0, 1.10, 0.95, 0.80):
-    test = RdCurve.from_pairs([(r * scale, q) for r, q in pairs])
+    test = [(r * scale, q) for r, q in base_curve]
     print(f"{scale:>12.2f} {bd_rate(base_curve, test):>10.3f}")
 
 # a genuinely better hypothetical encoder: same quality from less bitrate
 # at the low end, slightly more at the top
-test = RdCurve.from_pairs(
-    [(80.0, 30.0), (170.0, 33.0), (380.0, 36.0), (820.0, 39.0)]
-)
+test = [(80.0, 30.0), (170.0, 33.0), (380.0, 36.0), (820.0, 39.0)]
 print(f"\nmixed curve vs base: {bd_rate(base_curve, test):+.3f}% bitrate")

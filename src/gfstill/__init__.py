@@ -27,9 +27,6 @@ from .gop_planner import (
     validate_plan,
 )
 from .quality import (
-    QualityReport,
-    RdCurve,
-    RdPoint,
     bd_rate,
     load_rd_csv,
     psnr,
@@ -64,9 +61,6 @@ __all__ = [
     "GfGroupPlan",
     "GroupPlanResult",
     "PlanEntry",
-    "QualityReport",
-    "RdCurve",
-    "RdPoint",
     "SearchConfig",
     "StillnessThresholds",
     "SynthSpec",

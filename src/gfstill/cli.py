@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -222,17 +223,19 @@ def cmd_quality(args) -> int:
         raise UsageError("standard input can feed only one of the two clips")
     ref = load_y4m(_source(args.reference))
     dist = load_y4m(_source(args.distorted))
-    report = sequence_quality(
+    psnr_db, ssim = sequence_quality(
         [f.samples for f in ref.frames], [f.samples for f in dist.frames]
     )
+    mean_psnr_db = math.fsum(psnr_db) / len(psnr_db)
+    mean_ssim = math.fsum(ssim) / len(ssim)
     with _output(args.output) as out:
         out.write("frame,psnr_db,ssim\n")
-        for i, (p, s) in enumerate(zip(report.psnr_db, report.ssim)):
+        for i, (p, s) in enumerate(zip(psnr_db, ssim)):
             out.write(f"{i},{p:.6f},{s:.8f}\n")
-        out.write(f"mean,{report.avg_psnr_db:.6f},{report.avg_ssim:.8f}\n")
+        out.write(f"mean,{mean_psnr_db:.6f},{mean_ssim:.8f}\n")
     print(
-        f"{len(report.psnr_db)} frame(s): mean PSNR {report.avg_psnr_db:.3f} dB, "
-        f"mean SSIM {report.avg_ssim:.5f}",
+        f"{len(psnr_db)} frame(s): mean PSNR {mean_psnr_db:.3f} dB, "
+        f"mean SSIM {mean_ssim:.5f}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .video_io import check_luma
+from .video_io import _integer, check_luma
 
 BLOCK_SIZES = (8, 16, 32)
 SEARCH_KINDS = ("exhaustive", "diamond")
@@ -46,8 +46,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("block_size", "search_range"):
-            if not hasattr(type(getattr(self, name)), "__index__"):
-                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.block_size not in BLOCK_SIZES:
             raise ValueError(f"block_size must be one of {BLOCK_SIZES}")
         if self.search_range < 1:

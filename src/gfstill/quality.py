@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -55,6 +54,7 @@ SSIM_K2 = 0.03
 SSIM_STRIP_ROWS = 96
 
 BD_FIT_DEGREE = 3
+
 
 def _check_pair(a: np.ndarray, b: np.ndarray, minimum: int) -> None:
     check_luma(a)
@@ -124,70 +124,51 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(score))
 
 
-@dataclass(frozen=True)
-class RdPoint:
-    bitrate: float
-    quality: float
-
-    def __post_init__(self):
+def _rd_curve(pairs: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Check a curve of (bitrate, quality) pairs; return log10 bitrates, qualities."""
+    pairs = list(pairs)
+    for bitrate, quality in pairs:
         # NaN fails every comparison below, so it needs its own check
-        if not (math.isfinite(self.bitrate) and math.isfinite(self.quality)):
+        if not (math.isfinite(bitrate) and math.isfinite(quality)):
             raise ValueError(
-                f"RD point must be finite, got bitrate {self.bitrate}, "
-                f"quality {self.quality}"
+                f"RD point must be finite, got bitrate {bitrate}, quality {quality}"
             )
-        if self.bitrate <= 0:
+        if bitrate <= 0:
             raise ValueError("bitrate must be positive")
+    if len(pairs) < BD_FIT_DEGREE + 1:
+        raise ValueError(f"an RD curve needs at least {BD_FIT_DEGREE + 1} points")
+    for (prev_rate, prev_quality), (rate, quality) in zip(pairs, pairs[1:]):
+        if rate <= prev_rate:
+            raise ValueError("bitrates must be strictly increasing")
+        if quality < prev_quality:
+            raise ValueError("quality must be non-decreasing with bitrate")
+    rates, qualities = zip(*pairs)
+    return np.log10(rates), np.array(qualities, dtype=np.float64)
 
 
-@dataclass
-class RdCurve:
-    points: list[RdPoint]
-
-    def __post_init__(self):
-        if len(self.points) < BD_FIT_DEGREE + 1:
-            raise ValueError(
-                f"an RD curve needs at least {BD_FIT_DEGREE + 1} points"
-            )
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.bitrate <= prev.bitrate:
-                raise ValueError("bitrates must be strictly increasing")
-            if cur.quality < prev.quality:
-                raise ValueError("quality must be non-decreasing with bitrate")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "RdCurve":
-        return cls([RdPoint(r, q) for r, q in pairs])
-
-    @property
-    def qualities(self) -> np.ndarray:
-        return np.array([p.quality for p in self.points], dtype=np.float64)
-
-    @property
-    def log_rates(self) -> np.ndarray:
-        return np.log10([p.bitrate for p in self.points])
-
-
-def bd_rate(base: RdCurve, test: RdCurve) -> float:
+def bd_rate(
+    base: Iterable[tuple[float, float]], test: Iterable[tuple[float, float]]
+) -> float:
     """Average bitrate difference of `test` against `base`, in percent.
 
-    Fits log10(bitrate) as a cubic in quality for both curves, integrates
-    the difference across the overlapping quality range, and maps the mean
-    log offset back to a percentage.  Negative means `test` spends less
-    bitrate for the same quality.
+    Each curve is a sequence of (bitrate, quality) pairs, bitrates strictly
+    increasing.  Fits log10(bitrate) as a cubic in quality for both curves,
+    integrates the difference across the overlapping quality range, and
+    maps the mean log offset back to a percentage.  Negative means `test`
+    spends less bitrate for the same quality.
     """
-    for curve in (base, test):
-        q = curve.qualities
+    (base_rates, base_q), (test_rates, test_q) = _rd_curve(base), _rd_curve(test)
+    for q in (base_q, test_q):
         if np.unique(q).size != q.size:
             raise ValueError("degenerate curve: repeated quality values")
 
-    lo = max(base.qualities.min(), test.qualities.min())
-    hi = min(base.qualities.max(), test.qualities.max())
+    lo = max(base_q.min(), test_q.min())
+    hi = min(base_q.max(), test_q.max())
     if not lo < hi:
         raise ValueError(f"quality ranges do not overlap ({lo} >= {hi})")
 
-    fit_base = np.polyfit(base.qualities, base.log_rates, BD_FIT_DEGREE)
-    fit_test = np.polyfit(test.qualities, test.log_rates, BD_FIT_DEGREE)
+    fit_base = np.polyfit(base_q, base_rates, BD_FIT_DEGREE)
+    fit_test = np.polyfit(test_q, test_rates, BD_FIT_DEGREE)
     int_base = np.polyint(fit_base)
     int_test = np.polyint(fit_test)
     avg_diff = (
@@ -197,18 +178,10 @@ def bd_rate(base: RdCurve, test: RdCurve) -> float:
     return float((10.0**avg_diff - 1.0) * 100.0)
 
 
-@dataclass
-class QualityReport:
-    psnr_db: list[float]
-    ssim: list[float]
-    avg_psnr_db: float
-    avg_ssim: float
-
-
 def sequence_quality(
     ref: Sequence[np.ndarray], dist: Sequence[np.ndarray]
-) -> QualityReport:
-    """Per-frame PSNR/SSIM plus their arithmetic means.
+) -> tuple[list[float], list[float]]:
+    """Per-frame PSNR in dB and SSIM, as two lists in frame order.
 
     The SSIM pairs are scored on a thread per CPU this process may run on;
     the result is the same on any number of CPUs.
@@ -227,12 +200,7 @@ def sequence_quality(
             raise ValueError(f"frame {i}: {exc}") from None
     psnr_values = [psnr(r, d) for r, d in pairs]
     ssim_values = ordered_map(lambda pair: ssim(*pair), pairs, cpus())
-    return QualityReport(
-        psnr_db=psnr_values,
-        ssim=ssim_values,
-        avg_psnr_db=math.fsum(psnr_values) / len(psnr_values),
-        avg_ssim=math.fsum(ssim_values) / len(ssim_values),
-    )
+    return psnr_values, ssim_values
 
 
 def _is_number(text: str) -> bool:
@@ -243,9 +211,10 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def load_rd_csv(source: Union[str, Path, IO[str]]) -> RdCurve:
-    """Read `bitrate_kbps,quality` rows; a first row in which no field is a
-    number is a header and is skipped."""
+def load_rd_csv(source: Union[str, Path, IO[str]]) -> list[tuple[float, float]]:
+    """Read `bitrate_kbps,quality` rows into (bitrate, quality) pairs, checked
+    as `bd_rate` checks a curve; a first row in which no field is a number
+    is a header and is skipped."""
     pairs = []
     with _opened(source, "r", newline="") as stream:
         for lineno, row in enumerate(csv.reader(stream), start=1):
@@ -257,4 +226,5 @@ def load_rd_csv(source: Union[str, Path, IO[str]]) -> RdCurve:
                 if lineno == 1 and not any(map(_is_number, row)):
                     continue  # header row
                 raise ValueError(f"malformed RD row {lineno}: {row!r}") from None
-    return RdCurve.from_pairs(pairs)
+    _rd_curve(pairs)
+    return pairs

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video_io import MIN_DIMENSION, FramePlane, VideoSequence
+from .video_io import MIN_DIMENSION, FramePlane, VideoSequence, _integer
 
 SYNTH_KINDS = ("static", "static_noise", "pan", "zoom", "cut")
 
@@ -36,6 +36,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"kind must be one of {SYNTH_KINDS}")
+        for name in ("width", "height", "frame_count", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.width < MIN_DIMENSION or self.height < MIN_DIMENSION:
             raise ValueError(f"frames must be at least {MIN_DIMENSION} px each way")
         if self.frame_count < 2:

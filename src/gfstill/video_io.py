@@ -7,6 +7,7 @@ neutral chroma, so a load/write/load cycle preserves luma exactly.
 
 from __future__ import annotations
 
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -63,6 +64,15 @@ def check_luma(plane: np.ndarray) -> None:
     raise ValueError(f"a frame must be a 2-D uint8 array, got {got}")
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; ValueError unless it has __index__, as bools and
+    numpy integers do and floats and numeric strings do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 @dataclass(eq=False)
 class FramePlane:
     """A single 8-bit luma plane: a 2-D uint8 array at least 16x16."""
@@ -94,6 +104,10 @@ class VideoSequence:
             fh, fw = f.samples.shape
             if (fh, fw) != (h, w):
                 raise ValueError(f"frame {i} is {fw}x{fh}, expected {w}x{h}")
+        # stored as ints, so that write_y4m writes a header load_y4m reads
+        self.frame_rate = tuple(
+            _integer("each frame rate term", term) for term in self.frame_rate
+        )
         num, den = self.frame_rate
         if num <= 0 or den <= 0:
             raise ValueError("frame rate must be a positive rational")

@@ -26,7 +26,7 @@ from gfstill.gop_planner import (
     plan_sequence,
     validate_plan,
 )
-from gfstill.quality import PSNR_CAP_DB, RdCurve, bd_rate, psnr, ssim
+from gfstill.quality import PSNR_CAP_DB, bd_rate, psnr, ssim
 from gfstill.stillness import (
     GfGroupMetrics,
     classify_stillness,
@@ -49,6 +49,14 @@ PLANS_SHA256 = "58c09b3a3bf5caf0cc26a3fdc4d9693d3377271c832042f967ca83c2d32d1820
 # frozen SHA-256 of `plan --search-range 32` stdout for 5-frame 352x288 pan
 # and zoom clips at blocks 8, 16 and 32; no benchmark workload searches that far
 RANGE_32_PLANS_SHA256 = "b9c94699291c0ab6751c2c97fc1148ce5fbe0aad11bfaf8cd2530a2f4e89ecbf"
+# frozen SHA-256 of `quality` stdout on the 176x144, 16-frame seed-0 static
+# clip against static_noise at amplitude 3, and of `bdrate` stdout for the
+# c6 base curve against each of its three test curves
+QUALITY_SHA256 = "a66db6385e5eed97f23751319c8098fd1a35a6f2ad5dcf6332be6594afbc6277"
+BDRATE_SHA256 = "01e582e9c607efbf22ee5b19f67b13e9860e069eff213223b76bccffe2831bca"
+
+C6_PAIRS = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
+C6_SCALES = (1.0, 1.10, 0.95)
 
 
 def test_c1_block_search_matches_brute_force_oracle(rng):
@@ -134,11 +142,10 @@ def test_c5_plan_sweep_validates_within_budget():
 
 
 def test_c6_bd_rate_analytic_values():
-    pairs = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
-    base = RdCurve.from_pairs(pairs)
-    same = RdCurve.from_pairs(pairs)
-    up = RdCurve.from_pairs([(r * 1.10, q) for r, q in pairs])
-    down = RdCurve.from_pairs([(r * 0.95, q) for r, q in pairs])
+    base = C6_PAIRS
+    same = list(C6_PAIRS)
+    up = [(r * 1.10, q) for r, q in C6_PAIRS]
+    down = [(r * 0.95, q) for r, q in C6_PAIRS]
     assert abs(bd_rate(base, same) - 0.0) < 1e-9
     assert abs(bd_rate(base, up) - 10.0) < 1e-6
     assert abs(bd_rate(base, down) - (-5.0)) < 1e-6
@@ -197,6 +204,31 @@ def test_c8_range_32_plans_are_pinned(tmp_path, capsys):
             assert main(args) == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == RANGE_32_PLANS_SHA256
+
+
+def test_c8_quality_output_is_pinned(tmp_path, capsys):
+    clips = []
+    for kind in ("static", "static_noise"):
+        clip = tmp_path / f"{kind}.y4m"
+        write_y4m(generate(SynthSpec(kind, 176, 144, 16, amplitude=3.0)), clip)
+        clips.append(str(clip))
+    assert main(["quality", *clips]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == QUALITY_SHA256
+
+
+def test_c8_bdrate_output_is_pinned(tmp_path, capsys):
+    paths = []
+    for scale in C6_SCALES:
+        path = tmp_path / f"x{scale}.csv"
+        # repr keeps every float exact through the CSV
+        path.write_text("".join(f"{r * scale!r},{q!r}\n" for r, q in C6_PAIRS))
+        paths.append(str(path))
+    digest = hashlib.sha256()
+    for path in paths:
+        assert main(["bdrate", paths[0], path]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BDRATE_SHA256
 
 
 def test_c9_group_metrics_match_hand_computation():

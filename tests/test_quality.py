@@ -14,8 +14,6 @@ from gfstill.parallel import ordered_map
 from gfstill.quality import (
     PSNR_CAP_DB,
     SSIM_STRIP_ROWS,
-    RdCurve,
-    RdPoint,
     bd_rate,
     load_rd_csv,
     psnr,
@@ -175,27 +173,44 @@ class TestSsimOracleProperty:
         assert ssim(a, a) == 1.0 and ssim(b, b) == 1.0
 
 
+PAIRS = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
+
+
 class TestRdCurve:
+    """bd_rate checks each curve, base first; load_rd_csv checks its rows
+    the same way."""
+
+    def _rejects(self, pairs, message):
+        for base, test in ((pairs, PAIRS), (PAIRS, pairs)):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                bd_rate(base, test)
+        text = "".join(f"{r!r},{q!r}\n" for r, q in pairs)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_rd_csv(io.StringIO(text))
+
     def test_from_pairs(self):
-        curve = RdCurve.from_pairs([(100, 30), (200, 33), (400, 36), (800, 39)])
-        assert len(curve.points) == 4
-        assert curve.qualities.tolist() == [30, 33, 36, 39]
+        # any sequence of (bitrate, quality) pairs, ints or floats, is a curve
+        ints = [(100, 30), (200, 33), (400, 36), (800, 39)]
+        assert bd_rate(ints, PAIRS) == bd_rate(PAIRS, [list(p) for p in ints])
+        assert bd_rate(iter(ints), tuple(PAIRS)) == pytest.approx(0.0, abs=1e-9)
 
     def test_needs_four_points(self):
-        with pytest.raises(ValueError):
-            RdCurve.from_pairs([(100, 30), (200, 33), (400, 36)])
+        self._rejects(PAIRS[:3], "an RD curve needs at least 4 points")
 
     def test_bitrates_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            RdCurve.from_pairs([(100, 30), (100, 33), (400, 36), (800, 39)])
+        self._rejects(
+            [(100, 30), (100, 33), (400, 36), (800, 39)],
+            "bitrates must be strictly increasing",
+        )
 
     def test_quality_non_decreasing(self):
-        with pytest.raises(ValueError):
-            RdCurve.from_pairs([(100, 30), (200, 29), (400, 36), (800, 39)])
+        self._rejects(
+            [(100, 30), (200, 29), (400, 36), (800, 39)],
+            "quality must be non-decreasing with bitrate",
+        )
 
     def test_positive_bitrate(self):
-        with pytest.raises(ValueError):
-            RdPoint(0.0, 30.0)
+        self._rejects([(0.0, 30.0), *PAIRS], "bitrate must be positive")
 
     @pytest.mark.parametrize(
         "bitrate, quality",
@@ -208,30 +223,34 @@ class TestRdCurve:
         ],
     )
     def test_non_finite_point_rejected(self, bitrate, quality):
-        with pytest.raises(ValueError, match="finite"):
-            RdPoint(bitrate, quality)
+        self._rejects(
+            [(bitrate, quality), *PAIRS],
+            f"RD point must be finite, got bitrate {bitrate}, quality {quality}$",
+        )
+
+    def test_points_are_checked_before_the_curve(self):
+        # a bad point anywhere is named before a short or unordered curve
+        self._rejects([(800.0, 39.0), (-1.0, 30.0)], "bitrate must be positive")
+        self._rejects(
+            [(800.0, 39.0), (100.0, 30.0), (200.0, 28.0), (400.0, 36.0)],
+            "bitrates must be strictly increasing",
+        )
 
 
 class TestBdRate:
-    PAIRS = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
-
     def test_identical_curves_are_zero(self):
-        base = RdCurve.from_pairs(self.PAIRS)
-        test = RdCurve.from_pairs(self.PAIRS)
-        assert bd_rate(base, test) == pytest.approx(0.0, abs=1e-9)
+        assert bd_rate(PAIRS, PAIRS) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_rate_scaling(self):
-        base = RdCurve.from_pairs(self.PAIRS)
-        up = RdCurve.from_pairs([(r * 1.10, q) for r, q in self.PAIRS])
-        down = RdCurve.from_pairs([(r * 0.95, q) for r, q in self.PAIRS])
-        assert bd_rate(base, up) == pytest.approx(10.0, abs=1e-6)
-        assert bd_rate(base, down) == pytest.approx(-5.0, abs=1e-6)
+        up = [(r * 1.10, q) for r, q in PAIRS]
+        down = [(r * 0.95, q) for r, q in PAIRS]
+        assert bd_rate(PAIRS, up) == pytest.approx(10.0, abs=1e-6)
+        assert bd_rate(PAIRS, down) == pytest.approx(-5.0, abs=1e-6)
 
     def test_antisymmetry_of_log_means(self):
-        base = RdCurve.from_pairs(self.PAIRS)
-        test = RdCurve.from_pairs([(r * 1.25, q + 0.5) for r, q in self.PAIRS])
-        forward = bd_rate(base, test)
-        backward = bd_rate(test, base)
+        test = [(r * 1.25, q + 0.5) for r, q in PAIRS]
+        forward = bd_rate(PAIRS, test)
+        backward = bd_rate(test, PAIRS)
         assert (1 + forward / 100.0) * (1 + backward / 100.0) == pytest.approx(
             1.0, abs=1e-9
         )
@@ -239,39 +258,36 @@ class TestBdRate:
     @given(scale=st.floats(0.5, 2.0))
     @settings(max_examples=50, deadline=None)
     def test_scaling_property(self, scale):
-        base = RdCurve.from_pairs(self.PAIRS)
-        scaled = RdCurve.from_pairs([(r * scale, q) for r, q in self.PAIRS])
-        assert bd_rate(base, scaled) == pytest.approx(
+        scaled = [(r * scale, q) for r, q in PAIRS]
+        assert bd_rate(PAIRS, scaled) == pytest.approx(
             (scale - 1.0) * 100.0, abs=1e-6
         )
 
     def test_disjoint_quality_ranges_rejected(self):
-        base = RdCurve.from_pairs(self.PAIRS)
-        test = RdCurve.from_pairs([(r, q + 100.0) for r, q in self.PAIRS])
-        with pytest.raises(ValueError):
-            bd_rate(base, test)
+        test = [(r, q + 100.0) for r, q in PAIRS]
+        with pytest.raises(
+            ValueError, match=r"^quality ranges do not overlap \(130\.0 >= 39\.0\)$"
+        ):
+            bd_rate(PAIRS, test)
 
     def test_repeated_quality_rejected(self):
-        flat = RdCurve.from_pairs([(100, 30), (200, 30), (400, 36), (800, 39)])
-        base = RdCurve.from_pairs(self.PAIRS)
-        with pytest.raises(ValueError):
-            bd_rate(base, flat)
+        flat = [(100, 30), (200, 30), (400, 36), (800, 39)]
+        for base, test in ((PAIRS, flat), (flat, PAIRS)):
+            with pytest.raises(ValueError, match="^degenerate curve"):
+                bd_rate(base, test)
 
 
 class TestSequenceQuality:
     def test_report_shape_and_means(self, rng):
+        # two lists in frame order; `quality` takes their means, and
+        # test_acceptance.py pins its output
         ref = [random_plane(rng, 32, 24) for _ in range(3)]
         dist = [
             np.clip(f.astype(np.int16) + 2, 0, 255).astype(np.uint8) for f in ref
         ]
-        report = sequence_quality(ref, dist)
-        assert len(report.psnr_db) == len(report.ssim) == 3
-        assert report.avg_psnr_db == pytest.approx(
-            math.fsum(report.psnr_db) / 3, rel=0, abs=0
-        )
-        assert report.avg_ssim == pytest.approx(
-            math.fsum(report.ssim) / 3, rel=0, abs=0
-        )
+        psnr_db, ssim_values = sequence_quality(ref, dist)
+        assert psnr_db == [psnr(r, d) for r, d in zip(ref, dist)]
+        assert ssim_values == [ssim(r, d) for r, d in zip(ref, dist)]
 
     def test_length_mismatch_rejected(self, rng):
         frames = [random_plane(rng, 32, 24)]
@@ -305,9 +321,9 @@ class TestSequenceQuality:
         one = _quality_on_cpus(monkeypatch, 1, ref, dist)
         two = _quality_on_cpus(monkeypatch, 2, ref, dist)
         assert one[0] == [1] and two[0] == [2]
-        assert len(set(one[1].ssim)) == 5
+        assert len(set(one[1][1])) == 5
         assert one[1] == two[1]
-        assert one[1].ssim == [ssim(r, d) for r, d in zip(ref, dist)]
+        assert one[1][1] == [ssim(r, d) for r, d in zip(ref, dist)]
 
     def test_pair_error_reaches_the_caller(self, rng, monkeypatch):
         ref = [random_plane(rng, 32, 24) for _ in range(5)]
@@ -326,7 +342,7 @@ class TestSequenceQuality:
 
 def _quality_on_cpus(monkeypatch, cpus, ref, dist):
     """sequence_quality on `cpus` CPUs; returns the worker count its map was
-    given and the report."""
+    given and the (PSNR, SSIM) lists."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     workers = []
@@ -342,16 +358,15 @@ def _quality_on_cpus(monkeypatch, cpus, ref, dist):
 class TestRdCsv:
     def test_header_is_skipped(self):
         text = "bitrate_kbps,quality\n100,30\n200,33\n400,36\n800,39\n"
-        curve = load_rd_csv(io.StringIO(text))
-        assert [p.bitrate for p in curve.points] == [100, 200, 400, 800]
+        assert load_rd_csv(io.StringIO(text)) == PAIRS
 
     def test_headerless_file_accepted(self):
         text = "100,30\n200,33\n400,36\n800,39\n"
-        assert len(load_rd_csv(io.StringIO(text)).points) == 4
+        assert load_rd_csv(io.StringIO(text)) == PAIRS
 
     def test_blank_lines_ignored(self):
         text = "100,30\n\n200,33\n400,36\n800,39\n"
-        assert len(load_rd_csv(io.StringIO(text)).points) == 4
+        assert load_rd_csv(io.StringIO(text)) == PAIRS
 
     def test_malformed_interior_row_raises(self):
         text = "100,30\nnot-a-number,33\n400,36\n800,39\n"
@@ -371,4 +386,4 @@ class TestRdCsv:
     def test_path_round_trip(self, tmp_path):
         p = tmp_path / "curve.csv"
         p.write_text("bitrate_kbps,quality\n100,30\n200,33\n400,36\n800,39\n")
-        assert len(load_rd_csv(p).points) == 4
+        assert load_rd_csv(p) == PAIRS

@@ -34,6 +34,31 @@ class TestSpec:
         with pytest.raises(ValueError):
             SynthSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("width", 32.0),
+            ("width", "32"),
+            ("height", 32.0),
+            ("frame_count", 3.5),
+            ("seed", 1.5),
+        ],
+    )
+    def test_rejects_integer_fields_that_are_not_integers(self, name, value):
+        # floats constructed and then failed inside generate with TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            SynthSpec("pan", **{name: value})
+
+    def test_integer_fields_are_stored_as_ints(self):
+        # a numpy seed overflowed the 64-bit mask in the hash
+        spec = SynthSpec("pan", width=np.int64(32), frame_count=np.int32(3),
+                         seed=np.int64(5))
+        fields = (spec.width, spec.height, spec.frame_count, spec.seed)
+        assert fields == (32, 144, 3, 5)
+        assert all(type(v) is int for v in fields)
+        want = _frames(SynthSpec("pan", width=32, frame_count=3, seed=5))
+        assert all(map(np.array_equal, _frames(spec), want))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["static", "static_noise", "pan", "zoom", "cut"])

@@ -275,3 +275,21 @@ class TestTypes:
         a = FramePlane(np.zeros((48, 64), np.uint8))
         with pytest.raises(ValueError):
             VideoSequence([a], frame_rate=(0, 1))
+
+    @pytest.mark.parametrize("rate", [(30.5, 1), ("30", "1"), (30, 1.0)])
+    def test_sequence_rejects_a_rate_that_is_not_integers(self, rate):
+        # write_y4m wrote F30.5:1, which load_y4m refuses
+        a = FramePlane(np.zeros((48, 64), np.uint8))
+        with pytest.raises(ValueError, match="frame rate term must be an integer"):
+            VideoSequence([a], frame_rate=rate)
+
+    @pytest.mark.parametrize(
+        "rate, stored", [((True, 1), (1, 1)), ((np.int64(25), 1), (25, 1))]
+    )
+    def test_sequence_rate_is_stored_as_ints_and_round_trips(self, rate, stored):
+        # True was written as FTrue:1
+        a = FramePlane(np.zeros((48, 64), np.uint8))
+        seq = VideoSequence([a, a], frame_rate=rate)
+        assert seq.frame_rate == stored
+        assert all(type(term) is int for term in seq.frame_rate)
+        assert load_y4m(serialize_y4m(seq)).frame_rate == stored
