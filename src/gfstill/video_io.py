@@ -65,8 +65,7 @@ def check_luma(plane: np.ndarray) -> None:
 
 
 def _integer(name: str, value) -> int:
-    """`value` as an int; ValueError unless it has __index__, as bools and
-    numpy integers do and floats and numeric strings do not."""
+    """`value` as an int; ValueError unless it has __index__ (floats and str do not)."""
     try:
         return operator.index(value)
     except TypeError:
@@ -104,10 +103,8 @@ class VideoSequence:
             fh, fw = f.samples.shape
             if (fh, fw) != (h, w):
                 raise ValueError(f"frame {i} is {fw}x{fh}, expected {w}x{h}")
-        # stored as ints, so that write_y4m writes a header load_y4m reads
-        self.frame_rate = tuple(
-            _integer("each frame rate term", term) for term in self.frame_rate
-        )
+        # ints, so that write_y4m writes a header load_y4m reads
+        self.frame_rate = tuple(_integer("frame rate term", t) for t in self.frame_rate)
         num, den = self.frame_rate
         if num <= 0 or den <= 0:
             raise ValueError("frame rate must be a positive rational")

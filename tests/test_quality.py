@@ -189,10 +189,10 @@ class TestRdCurve:
             load_rd_csv(io.StringIO(text))
 
     def test_from_pairs(self):
-        # any sequence of (bitrate, quality) pairs, ints or floats, is a curve
+        # a curve is any iterable of (bitrate, quality) pairs, ints or floats
         ints = [(100, 30), (200, 33), (400, 36), (800, 39)]
-        assert bd_rate(ints, PAIRS) == bd_rate(PAIRS, [list(p) for p in ints])
-        assert bd_rate(iter(ints), tuple(PAIRS)) == pytest.approx(0.0, abs=1e-9)
+        for base, test in ((ints, PAIRS), (iter(ints), [list(p) for p in PAIRS])):
+            assert bd_rate(base, test) == pytest.approx(0.0, abs=1e-9)
 
     def test_needs_four_points(self):
         self._rejects(PAIRS[:3], "an RD curve needs at least 4 points")

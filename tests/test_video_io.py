@@ -280,7 +280,7 @@ class TestTypes:
     def test_sequence_rejects_a_rate_that_is_not_integers(self, rate):
         # write_y4m wrote F30.5:1, which load_y4m refuses
         a = FramePlane(np.zeros((48, 64), np.uint8))
-        with pytest.raises(ValueError, match="frame rate term must be an integer"):
+        with pytest.raises(ValueError, match="^frame rate term must be an integer$"):
             VideoSequence([a], frame_rate=rate)
 
     @pytest.mark.parametrize(
