@@ -20,11 +20,9 @@ from .video_io import _integer, check_luma
 BLOCK_SIZES = (8, 16, 32)
 SEARCH_KINDS = ("exhaustive", "diamond")
 
-# Large/small diamond steps, centre first.
-_LDSP = np.array(
-    ((0, 0), (0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1))
-)
-_SDSP = np.array(((0, 0), (0, -1), (1, 0), (0, 1), (-1, 0)))
+# Large/small diamond steps around a centre.
+_LDSP = np.array(((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1)))
+_SDSP = np.array(((0, -1), (1, 0), (0, 1), (-1, 0)))
 
 # (block, vector) pairs a tile of the exhaustive search bounds at once, about
 # 20 bytes each.  ms per call on one CPU (median of 5 alternating runs; pan at
@@ -89,7 +87,9 @@ def motion_search(
     zero_mv_sse.  Ties are broken by lower SSE, then smaller |dx|+|dy|, then
     smaller dy, then smaller dx, which makes the result order-independent.
     The exhaustive search tries every vector in range, the diamond search
-    stops where a diamond walk from (0, 0) does.
+    stops where a diamond walk from (0, 0) does.  Both score a (block,
+    vector) pair only when its sub-block bound shows that it could beat the
+    block's best so far, which never changes the result.
 
     Returns int64 arrays (mv, best_sse, zero_mv_sse) of shapes
     (rows, cols, 2), (rows, cols) and (rows, cols); mv[..., 0] is dx and
@@ -105,110 +105,150 @@ def motion_search(
         )
     cfg = cfg or SearchConfig()
     bs, r = cfg.block_size, cfg.search_range
-    cur_s = pad_to_block_grid(cur, bs)
-    ref_s = pad_to_block_grid(ref, bs)
+    # C order keeps the reshapes below views and each gathered row contiguous
+    cur_s, ref_s = (np.ascontiguousarray(pad_to_block_grid(f, bs)) for f in (cur, ref))
     h, w = cur_s.shape
     rows, cols = h // bs, w // bs
     # no window reaches further than the padded frame, whatever the range
     ry, rx = min(r, h - bs), min(r, w - bs)
-    # C order keeps each difference below contiguous, so its reshapes are
-    # views; int16 holds a difference of two samples in half the bytes of int32
-    cur16 = cur_s.astype(np.int16, order="C")
-    ref16 = ref_s.astype(np.int16, order="C")
-
-    def block_sse(dx: int, dy: int) -> tuple[tuple[slice, slice], np.ndarray]:
-        """SSE at (dx, dy) of the blocks whose window stays inside the padded
-        frame, with the grid slices that locate those blocks."""
-        b0, b1 = max(0, -(dy // bs)), min(rows, (h - dy) // bs)
-        c0, c1 = max(0, -(dx // bs)), min(cols, (w - dx) // bs)
-        diff = cur16[b0 * bs : b1 * bs, c0 * bs : c1 * bs] - ref16[
-            b0 * bs + dy : b1 * bs + dy, c0 * bs + dx : c1 * bs + dx
-        ]
-        # a square is at most 255**2 = 65025: it wraps in int16, but its bits
-        # read as uint16 are exact
-        diff *= diff
-        return np.s_[b0:b1, c0:c1], _block_sums(diff.view(np.uint16), bs)
-
-    zero = block_sse(0, 0)[1].astype(np.int64)
-    if cfg.search_kind == "diamond":
-        # each move strictly decreases the (sse, |dx|+|dy|, dy, dx) key, so
-        # every walk ends; the round cap is only a belt-and-braces bound
-        mv, best = _diamond_walk(block_sse, zero, rx, ry, 4 * r + 4)
-        return mv, best, zero
-
     # Successive elimination (Li & Salari, IEEE TIP 1995) over 2x2 sub-blocks
     # (Gao, Duanmu & Zou, IEEE TIP 2000): by Cauchy-Schwarz, the sum over the
     # four sub-blocks of (sum cur - sum ref)**2 is at most n * SSE, with n the
-    # pixels in a sub-block.  Each tile bounds all its (block, vector) pairs,
-    # then scores each block's least-bound vector and those bound by its best.
+    # pixels in a sub-block.  Both searches bound their (block, vector) pairs
+    # and score only those whose bound lets them beat the block's best.
     half, ky, kx = bs // 2, 2 * ry + 1, 2 * rx + 1
     n = half * half
-    # sub[ry + y, rx + x] sums the half x half window at (y, x); off the frame
-    # it reads 2**20, and one such term, over 2**39, exceeds n * any SSE < 2**34
-    sub = _window_sums(ref16.astype(np.int32), half)
-    sub = np.pad(sub, ((ry,), (rx,)), constant_values=2**20)
-    s0, s1 = sub.strides
-    strides = (half * s0, half * s1, bs * s0, bs * s1, s0, s1)
-    cur_sub = _block_sums(cur16, half).reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)
-    cur_blocks = cur16.reshape(rows, bs, cols, bs).swapaxes(1, 2).reshape(-1, bs, bs)
-    windows = sliding_window_view(ref16, (bs, bs))
+    cur_sub = _block_sums(cur_s, half).reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)
+    # block by block, so that a gather copies whole blocks; uint8 gathers
+    # faster than any wider type
+    cur_blocks = cur_s.reshape(rows, bs, cols, bs).swapaxes(1, 2).reshape(-1, bs, bs)
+    windows = sliding_window_view(ref_s, (bs, bs))
+    # sums[y, x] sums the half x half window at (y, x): at most 16 * 16 * 255,
+    # so uint16 holds it
+    sums = _window_sums(ref_s.astype(np.uint16), half)
     # one int64 key per block, sse << shift | tie code, orders (sse, |dx|+|dy|,
     # dy, dx); the tie code holds (|dx|+|dy|, dy) and whether dx > 0
     shift = (2 * (ry + rx + 1) * ky).bit_length()
-    best = zero.ravel() << shift | ry << 1
+    ties = (1 << shift) - 1
+    best = np.full(rows * cols, np.iinfo(np.int64).max)
 
-    def vectors(k: np.ndarray, y0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """dx, dy and tie code of vector k of a tile whose rows start at y0."""
-        dy, dx = np.divmod(k, kx)
-        dy += y0 - ry
-        dx -= rx
-        return dx, dy, ((abs(dx) + abs(dy)) * ky + dy + ry) << 1 | (dx > 0)
+    def tie(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        return ((abs(dx) + abs(dy)) * ky + dy + ry) << 1 | (dx > 0)
 
-    def score(blocks: np.ndarray, k: np.ndarray, y0: int) -> None:
-        """Lower the key of each block to the least over the vectors k."""
-        dx, dy, tie = vectors(k, y0)
+    def vector(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dx and dy of each key."""
+        dist, dy = np.divmod((key & ties) >> 1, ky)
+        dy -= ry
+        return np.where(key & 1, 1, -1) * (dist - abs(dy)), dy
+
+    def bound(window_sums: np.ndarray, block_sums: np.ndarray) -> np.ndarray:
+        """Sum over the sub-blocks (i, j) of (window_sums[i, j] -
+        block_sums[i, j])**2, broadcast, in int64."""
+        shape = window_sums.shape[2:]
+        diff = np.empty(shape, np.int32)  # no cast to subtract; squares in int64
+        total, term = np.zeros(shape, np.int64), np.empty(shape, np.int64)
+        for i, j in itertools.product((0, 1), (0, 1)):
+            np.subtract(window_sums[i, j], block_sums[i, j], out=diff)
+            total += np.square(diff, out=term, dtype=np.int64)
+        return total
+
+    def score(blocks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> None:
+        """Lower the key of each block to the least over the vectors (dx, dy)."""
         y, x = np.divmod(blocks, cols)
         y, x, sse = y * bs + dy, x * bs + dx, np.empty(blocks.size, np.int64)
-        step = max(1, SEARCH_TILE // (bs * bs))  # samples gathered at once
-        for s in (np.s_[i : i + step] for i in range(0, blocks.size, step)):
-            diff = cur_blocks[blocks[s]] - windows[y[s], x[s]]
+        chunk = max(1, SEARCH_TILE // (bs * bs))  # samples gathered at once
+        for s in (np.s_[i : i + chunk] for i in range(0, blocks.size, chunk)):
+            a, b = cur_blocks[blocks[s]], windows[y[s], x[s]]
+            # a difference fits int16; a square, at most 255**2 = 65025, wraps
+            # in int16, but its bits read as uint16 are exact
+            diff = np.subtract(a, b, dtype=np.int16)
             diff *= diff
             sse[s] = diff.view(np.uint16).sum(axis=(1, 2), dtype=np.int32)
-        np.minimum.at(best, blocks, sse << shift | tie)
+        np.minimum.at(best, blocks, sse << shift | tie(dx, dy))
 
-    # tiles of tb block rows by ty vector rows, those nearest dy = 0 first
-    ty = min(ky, max(1, SEARCH_TILE // (cols * kx)))
-    tb = max(1, SEARCH_TILE // (cols * kx * ty))
-    near = sorted(range(0, ky, ty), key=lambda y0: abs(2 * (y0 - ry) + ty - 1))
-    for b0, y0 in itertools.product(range(0, rows, tb), near):
-        shape = (min(tb, rows - b0), cols, min(ty, ky - y0), kx)
-        # views[i, j, b, c, y, x] sums sub-block (i, j) of the window of block
-        # (b0 + b, c) at vector row y0 + y, column x; cur_sub[i, j] the block's
-        views = as_strided(sub[b0 * bs + y0 :], (2, 2, *shape), strides)
-        diff = np.empty(shape, np.int32)  # no cast to subtract; squares in int64
-        bound, term = np.zeros(shape, np.int64), np.empty(shape, np.int64)
-        for i, j in itertools.product((0, 1), (0, 1)):
-            sums = cur_sub[i, j, b0 : b0 + tb, :, None, None]
-            np.subtract(views[i, j], sums, out=diff)
-            bound += np.square(diff, out=term, dtype=np.int64)
-        bound = bound.reshape(shape[0] * cols, -1)
-        tile = best[b0 * cols : b0 * cols + bound.shape[0]]
-        seeds = bound.argmin(axis=1)
-        live = np.flatnonzero(bound[np.arange(tile.size), seeds] <= n * (tile >> shift))
+    def pick(
+        blocks: np.ndarray, bounds: np.ndarray, dx: np.ndarray, dy: np.ndarray
+    ) -> None:
+        """Lower the key of each block to the least over its row of vectors
+        (dx, dy), bounded by its row of bounds.  Each block's least-bound
+        vector is scored first, then those its new key still lets win: a
+        bound below n * the key's SSE, or equal to it (only a tie) with a
+        lower tie code."""
+        seeds = bounds.argmin(axis=1)
+        least = bounds[np.arange(blocks.size), seeds]
+        live = np.flatnonzero(least <= n * (best[blocks] >> shift))
         if not live.size:
-            continue
+            return
+        codes = tie(dx, dy)  # before dx and dy broadcast to the bounds
+        dx, dy = np.broadcast_to(dx, bounds.shape), np.broadcast_to(dy, bounds.shape)
         # a live block's least bound is below the sentinel's: it is in the frame
-        score(live + b0 * cols, seeds[live], y0)
-        limit = n * (tile >> shift)
-        bound[live, seeds[live]] = limit[live] + 1  # scored already
-        # a bound of n * best allows only a tie, so it passes on a lower tie code
-        tie = vectors(np.arange(bound.shape[1]), y0)[2]
-        bound -= tie < (tile & (1 << shift) - 1)[:, None]
-        blocks, k = np.divmod(np.flatnonzero(bound < limit[:, None]), bound.shape[1])
-        score(blocks + b0 * cols, k, y0)
-    dist, dy = np.divmod((best & (1 << shift) - 1) >> 1, ky)
-    dx = np.where(best & 1, 1, -1) * (dist - abs(dy - ry))
-    mv = np.stack((dx, dy - ry), axis=1).reshape(rows, cols, 2)
+        score(blocks[live], dx[live, seeds[live]], dy[live, seeds[live]])
+        key = best[blocks][:, None]
+        bounds[live, seeds[live]] = n * (key[live, 0] >> shift) + 1  # scored already
+        bounds -= codes < (key & ties)
+        i, k = np.divmod(np.flatnonzero(bounds < n * (key >> shift)), bounds.shape[1])
+        score(blocks[i], dx[i, k], dy[i, k])
+
+    score(np.arange(best.size), 0, 0)
+    zero = (best >> shift).reshape(rows, cols)
+    if cfg.search_kind == "diamond":
+        # Diamond search (Zhu & Ma, IEEE TIP 2000), every block in lock step
+        corners = half * np.array(((0, 1), (sums.shape[1], sums.shape[1] + 1)))
+
+        def step(blocks: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+            """Move each block to the best of its centre and the neighbours at
+            pattern's offsets; return those that moved.  A neighbour out of
+            range or off the padded frame bounds at the sentinel."""
+            key = best[blocks]
+            y, x = np.divmod(blocks, cols)
+            cx, cy = vector(key)
+            dx, dy = cx[:, None] + pattern[:, 0], cy[:, None] + pattern[:, 1]
+            wy, wx = y[:, None] * bs + dy, x[:, None] * bs + dx
+            fits = (abs(dx) <= rx) & (abs(dy) <= ry)
+            fits &= (wy >= 0) & (wy <= h - bs) & (wx >= 0) & (wx <= w - bs)
+            at = np.clip(wy, 0, h - bs) * sums.shape[1] + np.clip(wx, 0, w - bs)
+            window_sums = sums.take(at + corners[..., None, None])
+            bounds = bound(window_sums, cur_sub[:, :, y, x, None])
+            bounds[~fits] = np.iinfo(np.int64).max
+            pick(blocks, bounds, dx, dy)
+            return blocks[best[blocks] < key]
+
+        # each move strictly lowers a block's key, so every walk ends; the
+        # round cap is only a belt-and-braces bound
+        walking = np.arange(best.size)
+        for _ in range(4 * r + 4):
+            walking = step(walking, _LDSP)
+            if not walking.size:
+                break
+        step(np.arange(best.size), _SDSP)
+    else:
+        # tiles of tb block rows by ty vector rows, those nearest dy = 0 first
+        ty = min(ky, max(1, SEARCH_TILE // (cols * kx)))
+        tb = max(1, SEARCH_TILE // (cols * kx * ty))
+        near = sorted(range(0, ky, ty), key=lambda y0: abs(2 * (y0 - ry) + ty - 1))
+        # the sums padded with 2**20: one such term, over 2**39, exceeds n *
+        # any SSE < 2**34.  A tile whose windows all leave the frame is
+        # skipped, so the rest reach at most a tile's height past it.
+        pad = min(ry, (tb - 1) * bs + ty - 1)
+        sub = np.full(np.add(sums.shape, (2 * pad, 2 * rx)), 2**20, np.int32)
+        sub[pad : pad + sums.shape[0], rx : rx + sums.shape[1]] = sums
+        del sums
+        s0, s1 = sub.strides
+        strides = (half * s0, half * s1, bs * s0, bs * s1, s0, s1)
+        for b0, y0 in itertools.product(range(0, rows, tb), near):
+            shape = (min(tb, rows - b0), cols, min(ty, ky - y0), kx)
+            top = b0 * bs + y0 - ry  # of the tile's first window
+            if top + (shape[0] - 1) * bs + shape[2] - 1 < 0 or top > h - bs:
+                continue
+            # views[i, j, b, c, y, x] sums sub-block (i, j) of the window of
+            # block (b0 + b, c) at vector row y0 + y, column x
+            views = as_strided(sub[top + pad :], (2, 2, *shape), strides)
+            bounds = bound(views, cur_sub[:, :, b0 : b0 + tb, :, None, None])
+            dy, dx = np.divmod(np.arange(shape[2] * kx)[None], kx)
+            blocks = np.arange(b0 * cols, (b0 + shape[0]) * cols)
+            pick(blocks, bounds.reshape(blocks.size, -1), dx - rx, dy + y0 - ry)
+    dx, dy = vector(best)
+    mv = np.stack((dx, dy), axis=1).reshape(rows, cols, 2)
     return mv, (best >> shift).reshape(rows, cols), zero
 
 
@@ -232,59 +272,6 @@ def _window_sums(a: np.ndarray, size: int) -> np.ndarray:
         a = a[:, :-step] + a[:, step:]
         step *= 2
     return a
-
-
-def _diamond_walk(
-    block_sse, zero: np.ndarray, rx: int, ry: int, rounds: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diamond search (Zhu & Ma, IEEE TIP 2000) for every block in lock step.
-
-    Each round, every block still walking moves to the best (lowest
-    (sse, |dx|+|dy|, dy, dx)) of its centre and the large diamond around it,
-    and stops once the centre wins; then every block takes one small-diamond
-    step.  SSE comes from one whole-grid table per vector, filled by
-    block_sse when a block first asks for it; windows outside the padded
-    frame and vectors beyond (rx, ry) score a sentinel that never wins.
-    """
-    never = np.iinfo(np.int64).max
-    tables = {(0, 0): zero.ravel()}
-
-    def table(dx: int, dy: int) -> np.ndarray:
-        if (dx, dy) not in tables:
-            t = np.full(zero.shape, never)
-            if abs(dx) <= rx and abs(dy) <= ry:
-                fits, sse = block_sse(dx, dy)
-                t[fits] = sse
-            tables[dx, dy] = t.ravel()
-        return tables[dx, dy]
-
-    mv = np.zeros((zero.size, 2), np.int64)
-    best = zero.ravel().copy()
-
-    def step(blocks: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-        # candidates along axis 0, the centre first; the walk starts and stays
-        # on windows inside the frame, so the centre never scores the sentinel
-        cand = mv[blocks] + pattern[:, None]
-        flat = cand.reshape(-1, 2)
-        # one int64 code per vector: a 1-d unique is much faster than axis=0
-        _, first, inverse = np.unique(
-            flat[:, 0] + (flat[:, 1] << 32), return_index=True, return_inverse=True
-        )
-        stack = np.stack([table(dx, dy) for dx, dy in flat[first].tolist()])
-        sse = stack[inverse.reshape(cand.shape[:2]), blocks]
-        dx, dy = cand[..., 0], cand[..., 1]
-        pick = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), sse), axis=0)[0]
-        i = np.arange(blocks.size)
-        mv[blocks], best[blocks] = cand[pick, i], sse[pick, i]
-        return blocks[pick != 0]
-
-    walking = np.arange(zero.size)
-    for _ in range(rounds):
-        walking = step(walking, _LDSP)  # the blocks that moved
-        if not walking.size:
-            break
-    step(np.arange(zero.size), _SDSP)
-    return mv.reshape(*zero.shape, 2), best.reshape(zero.shape)
 
 
 def analyze_frame(

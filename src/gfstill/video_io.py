@@ -72,7 +72,7 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FramePlane:
     """A single 8-bit luma plane: a 2-D uint8 array at least 16x16."""
 
@@ -88,14 +88,16 @@ class FramePlane:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VideoSequence:
-    """An ordered list of equally sized luma frames."""
+    """An ordered tuple of equally sized luma frames, fixed once made: any
+    iterable of frames is stored as a tuple."""
 
-    frames: list[FramePlane]
+    frames: tuple[FramePlane, ...]
     frame_rate: tuple[int, int] = (30, 1)
 
     def __post_init__(self):
+        object.__setattr__(self, "frames", tuple(self.frames))
         if not self.frames:
             raise ValueError("a video sequence needs at least one frame")
         h, w = self.frames[0].samples.shape
@@ -104,8 +106,9 @@ class VideoSequence:
             if (fh, fw) != (h, w):
                 raise ValueError(f"frame {i} is {fw}x{fh}, expected {w}x{h}")
         # ints, so that write_y4m writes a header load_y4m reads
-        self.frame_rate = tuple(_integer("frame rate term", t) for t in self.frame_rate)
-        num, den = self.frame_rate
+        rate = tuple(_integer("frame rate term", t) for t in self.frame_rate)
+        object.__setattr__(self, "frame_rate", rate)
+        num, den = rate
         if num <= 0 or den <= 0:
             raise ValueError("frame rate must be a positive rational")
 

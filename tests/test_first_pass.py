@@ -264,23 +264,80 @@ class TestTiles:
         assert tuple(mv[1, 1]) == (0, 2) and best[1, 1] == 16 * 16 * 10**2
         _assert_matches_oracle(cur, ref, cfg)
 
-    def test_peak_memory_is_bounded_whatever_the_range(self):
-        # the sum table grows with the range until the range reaches past the
-        # frame, the tiles not at all: 4.7 MiB at range 8 and 11.5 MiB past
-        # the frame (numpy 2.4); one tile for the whole frame would need GiBs
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    def test_peak_memory_is_bounded_whatever_the_range(self, kind):
+        # the exhaustive search's sum table is padded a tile high and the
+        # range wide, the tiles not at all: 2.9 MiB at range 8 and 4.7 MiB
+        # past the frame (numpy 2.4); one tile for the whole frame would need
+        # GiBs.  The diamond's table is the frame's, whatever the range
         plane = _textured(640, 360)
         peaks = []
         for search_range in (8, 10_000):
             tracemalloc.start()
             try:
-                motion_search(plane, plane, SearchConfig(32, search_range))
+                motion_search(plane, plane, SearchConfig(32, search_range, kind))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 3 * peaks[0]
 
 
+def _clip(content, width, height):
+    """(current, reference): frames 1 and 0 of a synthetic clip named "kind
+    amplitude", or the pair `_frames` makes for content."""
+    if " " not in content:
+        return _frames(content, height, width, seed=0)
+    kind, amplitude = content.split()
+    frames = generate(SynthSpec(kind, width, height, 2, amplitude=float(amplitude)))
+    return frames.frames[1].samples, frames.frames[0].samples
+
+
+# every content at both ranges, and every block size twice at each; pan 8 on
+# 8x8 blocks walks furthest, to the edge of range 8 and past it at 32
+_DIAMOND_CELLS = [
+    ("pan 4", 352, 288, 8, 8),
+    ("pan 4", 352, 288, 16, 32),
+    ("pan 8", 352, 288, 32, 8),
+    ("pan 8", 352, 288, 8, 32),
+    ("zoom 4", 352, 288, 16, 8),
+    ("zoom 4", 352, 288, 32, 32),
+    ("static_noise 2", 352, 288, 32, 8),
+    ("static_noise 2", 352, 288, 8, 32),
+    ("random", 352, 288, 16, 8),
+    ("random", 352, 288, 32, 32),
+    ("extremes", 352, 288, 8, 8),
+    ("extremes", 352, 288, 16, 32),
+    ("pan 8", 100, 75, 16, 32),  # pads to 112x80
+]
+
+
 class TestDiamond:
+    @pytest.mark.parametrize(
+        "content, width, height, block_size, search_range", _DIAMOND_CELLS
+    )
+    def test_full_frame_matches_oracle(
+        self, content, width, height, block_size, search_range
+    ):
+        cur, ref = _clip(content, width, height)
+        cfg = SearchConfig(block_size, search_range, "diamond")
+        _assert_matches_oracle(cur, ref, cfg)
+
+    def test_bound_equal_to_n_times_best_can_win_a_tie(self):
+        # block (1, 1) is 100 against 90 at (0, -1), so that window's bound is
+        # n * its SSE, 6400.  The window at (0, 1) differs by 10, 10, 14 and 2
+        # down its last four rows: SSE 6400 too, but a lower bound, so it is
+        # scored first.  Every large-diamond neighbour reads a 0 column or row
+        # and loses to (0, 0), SSE 7168; the small diamond must then let
+        # (0, -1) win the tie on its bound alone
+        cur = np.full((32, 32), 100, np.uint8)
+        ref = np.zeros((32, 32), np.uint8)
+        ref[7:15, 8:16] = 90
+        ref[15, 8:16], ref[16, 8:16] = 86, 98
+        cfg = SearchConfig(8, 8, "diamond")
+        mv, best, zero = motion_search(cur, ref, cfg)
+        assert tuple(mv[1, 1]) == (0, -1) and best[1, 1] == 6400 and zero[1, 1] == 7168
+        _assert_matches_oracle(cur, ref, cfg)
+
     def test_never_beats_exhaustive(self, rng):
         diamond = SearchConfig(search_kind="diamond")
         for _ in range(4):

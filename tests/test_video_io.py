@@ -293,3 +293,17 @@ class TestTypes:
         assert seq.frame_rate == stored
         assert all(type(term) is int for term in seq.frame_rate)
         assert load_y4m(serialize_y4m(seq)).frame_rate == stored
+
+    def test_sequence_cannot_change_once_made(self):
+        # each change once made write_y4m write a file load_y4m refused
+        a = FramePlane(np.zeros((16, 16), np.uint8))
+        seq = VideoSequence([a, a], frame_rate=(24, 1))
+        assert seq.frames == (a, a)
+        with pytest.raises(AttributeError):
+            seq.frame_rate = (30.5, 1)
+        with pytest.raises(AttributeError):
+            seq.frames.append(FramePlane(np.zeros((32, 32), np.uint8)))
+        with pytest.raises(AttributeError):
+            a.samples = np.zeros((32, 32), np.uint8)
+        assert seq.frame_rate == (24, 1) and seq.frames == (a, a)
+        assert load_y4m(serialize_y4m(seq)).frame_rate == (24, 1)
