@@ -111,6 +111,13 @@ def motion_search(
     rows, cols = h // bs, w // bs
     # no window reaches further than the padded frame, whatever the range
     ry, rx = min(r, h - bs), min(r, w - bs)
+    # a difference of two samples fits int16; its square, at most 255**2 =
+    # 65025, wraps in int16, but its bits read as uint16 are exact
+    diff = np.subtract(cur_s, ref_s, dtype=np.int16)
+    diff *= diff
+    zero = _block_sums(diff.view(np.uint16), bs).astype(np.int64)
+    del diff  # a frame of int16, freed before the sum table is built
+
     # Successive elimination (Li & Salari, IEEE TIP 1995) over 2x2 sub-blocks
     # (Gao, Duanmu & Zou, IEEE TIP 2000): by Cauchy-Schwarz, the sum over the
     # four sub-blocks of (sum cur - sum ref)**2 is at most n * SSE, with n the
@@ -130,7 +137,7 @@ def motion_search(
     # dy, dx); the tie code holds (|dx|+|dy|, dy) and whether dx > 0
     shift = (2 * (ry + rx + 1) * ky).bit_length()
     ties = (1 << shift) - 1
-    best = np.full(rows * cols, np.iinfo(np.int64).max)
+    best = zero.ravel() << shift | ry << 1
 
     def tie(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         return ((abs(dx) + abs(dy)) * ky + dy + ry) << 1 | (dx > 0)
@@ -143,7 +150,7 @@ def motion_search(
 
     def bound(window_sums: np.ndarray, block_sums: np.ndarray) -> np.ndarray:
         """Sum over the sub-blocks (i, j) of (window_sums[i, j] -
-        block_sums[i, j])**2, broadcast, in int64."""
+        block_sums[i, j])**2 in int64, block_sums broadcast."""
         shape = window_sums.shape[2:]
         diff = np.empty(shape, np.int32)  # no cast to subtract; squares in int64
         total, term = np.zeros(shape, np.int64), np.empty(shape, np.int64)
@@ -159,10 +166,8 @@ def motion_search(
         chunk = max(1, SEARCH_TILE // (bs * bs))  # samples gathered at once
         for s in (np.s_[i : i + chunk] for i in range(0, blocks.size, chunk)):
             a, b = cur_blocks[blocks[s]], windows[y[s], x[s]]
-            # a difference fits int16; a square, at most 255**2 = 65025, wraps
-            # in int16, but its bits read as uint16 are exact
             diff = np.subtract(a, b, dtype=np.int16)
-            diff *= diff
+            diff *= diff  # exact read as uint16, as for zero
             sse[s] = diff.view(np.uint16).sum(axis=(1, 2), dtype=np.int32)
         np.minimum.at(best, blocks, sse << shift | tie(dx, dy))
 
@@ -189,8 +194,6 @@ def motion_search(
         i, k = np.divmod(np.flatnonzero(bounds < n * (key >> shift)), bounds.shape[1])
         score(blocks[i], dx[i, k], dy[i, k])
 
-    score(np.arange(best.size), 0, 0)
-    zero = (best >> shift).reshape(rows, cols)
     if cfg.search_kind == "diamond":
         # Diamond search (Zhu & Ma, IEEE TIP 2000), every block in lock step
         corners = half * np.array(((0, 1), (sums.shape[1], sums.shape[1] + 1)))
@@ -247,15 +250,14 @@ def motion_search(
             dy, dx = np.divmod(np.arange(shape[2] * kx)[None], kx)
             blocks = np.arange(b0 * cols, (b0 + shape[0]) * cols)
             pick(blocks, bounds.reshape(blocks.size, -1), dx - rx, dy + y0 - ry)
-    dx, dy = vector(best)
-    mv = np.stack((dx, dy), axis=1).reshape(rows, cols, 2)
+    mv = np.stack(vector(best), axis=1).reshape(rows, cols, 2)
     return mv, (best >> shift).reshape(rows, cols), zero
 
 
 def _block_sums(a: np.ndarray, size: int) -> np.ndarray:
     """int32 sum of every size x size block of a C-contiguous array whose
-    sides are multiples of size.  A 32x32 block of squared sample
-    differences sums to at most 32 * 32 * 65025 < 2**31, so int32 is safe.
+    sides are multiples of size.  A 32x32 block of squared samples sums to
+    at most 32 * 32 * 65025 < 2**31, so int32 is safe.
     Summing rows then columns is about twice as fast as one sum over axes
     (1, 3)."""
     col_sums = a.reshape(a.shape[0] // size, size, -1).sum(axis=1, dtype=np.int32)
