@@ -25,14 +25,14 @@ _LDSP = np.array(((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-
 _SDSP = np.array(((0, -1), (1, 0), (0, 1), (-1, 0)))
 
 # (block, vector) pairs a tile of the exhaustive search bounds at once, about
-# 20 bytes each.  ms per call on one CPU (median of 5 alternating runs; pan at
-# 4, noise is static_noise at 2) and block 16, range 8 tracemalloc peak, on a
-# 2-CPU x86-64 host with numpy 2.4:
+# 20 bytes each.  ms per call on one CPU (median of 5 runs; pan at 4, noise
+# is static_noise at 2) and block 16, range 8 tracemalloc peak, on a 2-CPU
+# x86-64 host with numpy 2.4:
 #   tile    CIF b16 r8, r32   720p b16 r8, r32   720p noise b8   MiB CIF, 720p
-#   2**14       4.4  32.1         40.3  255            151          1.5  10.6
-#   2**15       5.0  32.3         33.6  228            117          2.1  10.6
-#   2**16       5.7  31.4         31.4  201            104          3.0  10.6
-#   2**17       4.5  40.4         30.2  218            100          3.8  13.0
+#   2**14       5.1  40.1         43.8  326            158          0.9   6.3
+#   2**15       3.9  34.2         35.0  262            147          1.4   6.3
+#   2**16       3.6  31.5         29.2  235            117          2.0   6.3
+#   2**17       3.6  30.7         28.6  247            110          2.8   7.7
 SEARCH_TILE = 2**16
 
 
@@ -126,8 +126,8 @@ def motion_search(
     half, ky, kx = bs // 2, 2 * ry + 1, 2 * rx + 1
     n = half * half
     cur_sub = _block_sums(cur_s, half).reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)
-    # block by block, so that a gather copies whole blocks; uint8 gathers
-    # faster than any wider type
+    # block by block, so that a gather copies whole blocks; uint8 gathers no
+    # slower than int16 (faster at 720p) in half the memory
     cur_blocks = cur_s.reshape(rows, bs, cols, bs).swapaxes(1, 2).reshape(-1, bs, bs)
     windows = sliding_window_view(ref_s, (bs, bs))
     # sums[y, x] sums the half x half window at (y, x): at most 16 * 16 * 255,

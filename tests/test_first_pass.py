@@ -266,10 +266,10 @@ class TestTiles:
 
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
     def test_peak_memory_is_bounded_whatever_the_range(self, kind):
-        # the exhaustive search's sum table is padded a tile high and the
-        # range wide, the tiles not at all: 2.9 MiB at range 8 and 4.7 MiB
-        # past the frame (numpy 2.4); one tile for the whole frame would need
-        # GiBs.  The diamond's table is the frame's, whatever the range
+        # the exhaustive search's sum table widens with the range but is
+        # padded only a tile high, and its tiles do not grow: 2.9 MiB at range
+        # 8 and 4.7 MiB past the frame (numpy 2.4); one tile for the whole
+        # frame would need GiBs.  The diamond's table is the frame's size
         plane = _textured(640, 360)
         peaks = []
         for search_range in (8, 10_000):
@@ -288,8 +288,8 @@ def _clip(content, width, height):
     if " " not in content:
         return _frames(content, height, width, seed=0)
     kind, amplitude = content.split()
-    frames = generate(SynthSpec(kind, width, height, 2, amplitude=float(amplitude)))
-    return frames.frames[1].samples, frames.frames[0].samples
+    seq = generate(SynthSpec(kind, width, height, 2, amplitude=float(amplitude)))
+    return seq.frames[1].samples, seq.frames[0].samples
 
 
 # every content at both ranges, and every block size twice at each; pan 8 on
@@ -335,7 +335,8 @@ class TestDiamond:
         ref[15, 8:16], ref[16, 8:16] = 86, 98
         cfg = SearchConfig(8, 8, "diamond")
         mv, best, zero = motion_search(cur, ref, cfg)
-        assert tuple(mv[1, 1]) == (0, -1) and best[1, 1] == 6400 and zero[1, 1] == 7168
+        assert tuple(mv[1, 1]) == (0, -1)
+        assert best[1, 1] == 6400 and zero[1, 1] == 7168
         _assert_matches_oracle(cur, ref, cfg)
 
     def test_never_beats_exhaustive(self, rng):
