@@ -159,8 +159,9 @@ def motion_search(
             total += np.square(diff, out=term, dtype=np.int64)
         return total
 
-    def score(blocks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> None:
-        """Lower the key of each block to the least over the vectors (dx, dy)."""
+    def score(blocks: np.ndarray, codes: np.ndarray) -> None:
+        """Lower the key of each block to the least over the vectors codes give."""
+        dx, dy = vector(codes)
         y, x = np.divmod(blocks, cols)
         y, x, sse = y * bs + dy, x * bs + dx, np.empty(blocks.size, np.int64)
         chunk = max(1, SEARCH_TILE // (bs * bs))  # samples gathered at once
@@ -169,30 +170,27 @@ def motion_search(
             diff = np.subtract(a, b, dtype=np.int16)
             diff *= diff  # exact read as uint16, as for zero
             sse[s] = diff.view(np.uint16).sum(axis=(1, 2), dtype=np.int32)
-        np.minimum.at(best, blocks, sse << shift | tie(dx, dy))
+        np.minimum.at(best, blocks, sse << shift | codes)
 
-    def pick(
-        blocks: np.ndarray, bounds: np.ndarray, dx: np.ndarray, dy: np.ndarray
-    ) -> None:
-        """Lower the key of each block to the least over its row of vectors
-        (dx, dy), bounded by its row of bounds.  Each block's least-bound
-        vector is scored first, then those its new key still lets win: a
-        bound below n * the key's SSE, or equal to it (only a tie) with a
-        lower tie code."""
+    def pick(blocks: np.ndarray, bounds: np.ndarray, codes: np.ndarray) -> None:
+        """Lower the key of each block to the least over its row of vectors,
+        given by their tie codes and bounded by its row of bounds.  Each
+        block's least-bound vector is scored first, then those its new key
+        still lets win: a bound below n * the key's SSE, or equal to it (only
+        a tie) with a lower tie code."""
         seeds = bounds.argmin(axis=1)
         least = bounds[np.arange(blocks.size), seeds]
         live = np.flatnonzero(least <= n * (best[blocks] >> shift))
         if not live.size:
             return
-        codes = tie(dx, dy)  # before dx and dy broadcast to the bounds
-        dx, dy = np.broadcast_to(dx, bounds.shape), np.broadcast_to(dy, bounds.shape)
+        codes = np.broadcast_to(codes, bounds.shape)
         # a live block's least bound is below the sentinel's: it is in the frame
-        score(blocks[live], dx[live, seeds[live]], dy[live, seeds[live]])
+        score(blocks[live], codes[live, seeds[live]])
         key = best[blocks][:, None]
         bounds[live, seeds[live]] = n * (key[live, 0] >> shift) + 1  # scored already
         bounds -= codes < (key & ties)
         i, k = np.divmod(np.flatnonzero(bounds < n * (key >> shift)), bounds.shape[1])
-        score(blocks[i], dx[i, k], dy[i, k])
+        score(blocks[i], codes[i, k])
 
     if cfg.search_kind == "diamond":
         # Diamond search (Zhu & Ma, IEEE TIP 2000), every block in lock step
@@ -213,7 +211,7 @@ def motion_search(
             window_sums = sums.take(at + corners[..., None, None])
             bounds = bound(window_sums, cur_sub[:, :, y, x, None])
             bounds[~fits] = np.iinfo(np.int64).max
-            pick(blocks, bounds, dx, dy)
+            pick(blocks, bounds, tie(dx, dy))
             return blocks[best[blocks] < key]
 
         # each move strictly lowers a block's key, so every walk ends; the
@@ -249,7 +247,7 @@ def motion_search(
             bounds = bound(views, cur_sub[:, :, b0 : b0 + tb, :, None, None])
             dy, dx = np.divmod(np.arange(shape[2] * kx)[None], kx)
             blocks = np.arange(b0 * cols, (b0 + shape[0]) * cols)
-            pick(blocks, bounds.reshape(blocks.size, -1), dx - rx, dy + y0 - ry)
+            pick(blocks, bounds.reshape(blocks.size, -1), tie(dx - rx, dy + y0 - ry))
     mv = np.stack(vector(best), axis=1).reshape(rows, cols, 2)
     return mv, (best >> shift).reshape(rows, cols), zero
 
