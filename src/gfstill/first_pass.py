@@ -143,7 +143,7 @@ def motion_search(
         return ((abs(dx) + abs(dy)) * ky + dy + ry) << 1 | (dx > 0)
 
     def vector(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """dx and dy of each key."""
+        """dx and dy of each key or tie code."""
         dist, dy = np.divmod((key & ties) >> 1, ky)
         dy -= ry
         return np.where(key & 1, 1, -1) * (dist - abs(dy)), dy
