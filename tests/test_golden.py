@@ -27,11 +27,14 @@ CLIPS = {
     "static": SynthSpec("static", width=176, height=144, frame_count=16),
     "pan": SynthSpec("pan", width=176, height=144, frame_count=16, amplitude=4.0),
     "cut": SynthSpec("cut", width=176, height=144, frame_count=16),
+    "cut33": SynthSpec("cut", width=176, height=144, frame_count=33),
     # 100x76 is no multiple of 32, so the last block row and column are padded
     "static_noise_100x76": SynthSpec(
         "static_noise", width=100, height=76, frame_count=9, amplitude=2.0
     ),
 }
+
+NON_DEFAULT_INTERVALS = ["--target-interval", "7", "--key-interval", "12"]
 
 # golden file name -> (clip, CLI arguments after the input path)
 CASES = {
@@ -42,6 +45,9 @@ CASES = {
     "cut.analyze.csv": ("cut", ["analyze"]),
     "cut.plan.json": ("cut", ["plan"]),
     "pan.diamond.plan.json": ("pan", ["plan", "--search-kind", "diamond"]),
+    # keyframes at 12 and 24; the last 8-frame run is re-split 4 + 4
+    "cut33.k12_t7.analyze.csv": ("cut33", ["analyze", *NON_DEFAULT_INTERVALS]),
+    "cut33.k12_t7.plan.json": ("cut33", ["plan", *NON_DEFAULT_INTERVALS]),
     "static_noise_100x76.bs32_r12.plan.json": (
         "static_noise_100x76",
         ["plan", "--block-size", "32", "--search-range", "12"],
