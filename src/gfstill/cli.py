@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -189,6 +190,9 @@ def _summarise(results: list[GroupPlanResult]) -> str:
 def cmd_analyze(args) -> int:
     if args.hist_bins < 1:
         raise UsageError("--hist-bins must be >= 1")
+    if args.histogram and args.output:
+        if os.path.realpath(args.histogram) == os.path.realpath(args.output):
+            raise UsageError("--histogram and --output name the same file")
     results = _analysed_groups(args)
     # the sidecar opens first, so a bad path fails before any output is written
     hist = open(args.histogram, "w", newline="") if args.histogram else nullcontext()

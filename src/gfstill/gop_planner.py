@@ -11,7 +11,12 @@ to three nearest past frames, the anchor, and the backward anchor.  Moving
 groups get a binary pyramid: midpoint anchors are inserted depth-first so
 each sub-span is fully coded (and its short-lived references retired)
 before the next sub-span starts; that keeps the live reference set inside
-the hardware-style slot budget.
+the hardware-style slot budget.  A plan is built in that one depth-first
+pass, each entry coded as the walk reaches it.
+
+Frame counts and intervals must be integers: anything with __index__
+(numpy integers, bools) is stored as an int, and anything else, floats
+included, raises ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import csv
 import enum
 from bisect import bisect
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from typing import IO, Sequence
 
 from .first_pass import FrameFirstPassStats, SearchConfig, analyze_frame
@@ -34,7 +39,7 @@ from .stillness import (
     classify_stillness,
     compute_group_metrics,
 )
-from .video_io import VideoSequence
+from .video_io import VideoSequence, _integer
 
 MIN_GROUP_INTERVAL = 4
 MAX_GROUP_INTERVAL = 16
@@ -116,8 +121,13 @@ class GroupPlanResult:
     plan: GfGroupPlan
 
 
-def check_intervals(target_interval: int, key_interval: int | None) -> None:
-    """Raise ValueError unless both are legal segment_groups intervals."""
+def check_intervals(
+    target_interval: int, key_interval: int | None
+) -> tuple[int, int | None]:
+    """Both as ints; ValueError unless they are legal segment_groups intervals."""
+    target_interval = _integer("target_interval", target_interval)
+    if key_interval is not None:
+        key_interval = _integer("key_interval", key_interval)
     if not MIN_GROUP_INTERVAL <= target_interval <= MAX_GROUP_INTERVAL:
         raise ValueError(
             f"target_interval must lie in "
@@ -125,6 +135,7 @@ def check_intervals(target_interval: int, key_interval: int | None) -> None:
         )
     if key_interval is not None and key_interval < 2:
         raise ValueError("key_interval must be >= 2")
+    return target_interval, key_interval
 
 
 def segment_groups(
@@ -141,74 +152,51 @@ def segment_groups(
     minimum interval is merged with the previous group and the pair is
     re-split evenly, so 35 frames at target 16 become 16 + 9 + 9.
     """
+    total_frames = _integer("total_frames", total_frames)
     if total_frames < 2:
         raise ValueError("need at least two frames to form a group")
-    check_intervals(target_interval, key_interval)
+    target_interval, key_interval = check_intervals(target_interval, key_interval)
 
     keyframes = [0]
     if key_interval is not None:
         keyframes = list(range(0, total_frames - 1, key_interval))
 
     boundaries: list[tuple[int, int]] = []
-    for i, kf in enumerate(keyframes):
-        segment_end = keyframes[i + 1] if i + 1 < len(keyframes) else total_frames
-        boundaries.extend(_segment_run(kf + 1, segment_end - kf - 1, target_interval))
+    for kf, end in zip(keyframes, [*keyframes[1:], total_frames]):
+        boundaries += _segment_run(kf + 1, end - kf - 1, target_interval)
     return boundaries
 
 
 def _segment_run(start: int, n_frames: int, target: int) -> list[tuple[int, int]]:
-    intervals: list[int] = []
-    remaining = n_frames
-    while remaining >= target:
-        intervals.append(target)
-        remaining -= target
-    if remaining:
-        if remaining >= MIN_GROUP_INTERVAL or not intervals:
-            intervals.append(remaining)
-        else:
-            merged = intervals.pop() + remaining
-            intervals.extend(((merged + 1) // 2, merged // 2))
-
-    out = []
-    pos = start
-    for length in intervals:
-        out.append((pos, length))
-        pos += length
-    return out
+    whole, rest = divmod(n_frames, target)
+    intervals = [target] * whole
+    if whole and 0 < rest < MIN_GROUP_INTERVAL:
+        merged = target + rest
+        intervals[-1:] = [(merged + 1) // 2, merged // 2]
+    elif rest:
+        intervals.append(rest)
+    return list(zip(accumulate(intervals, initial=start), intervals))
 
 
-def _pyramid_events(interval: int) -> list[tuple[str, int, int]]:
-    """In-order traversal of the binary split: (kind, display, layer)."""
-    events: list[tuple[str, int, int]] = []
+def plan_group(interval: int, verdict: str) -> GfGroupPlan:
+    """Build the coding plan for one group in one depth-first pass.
 
-    def walk(a: int, b: int, depth: int) -> None:
-        interior = b - a - 1
-        if interior <= 0:
-            return
-        if interior == 1:
-            events.append(("leaf", a + 1, 0))
-            return
-        m = (a + b) // 2
-        events.append(("anchor", m, depth + 1))
-        walk(a, m, depth + 1)
-        walk(m, b, depth + 1)
-
-    walk(0, interval, 1)
-    return events
-
-
-def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
-    """ALTREF first, then the interior displays, then the OVERLAY.
-
-    Still groups code the interior in display order as leaves; non-still
-    groups follow the pyramid and also reference the next coded frames.
+    The backward anchor (ALTREF) is coded first and its OVERLAY last.  Still
+    groups code the displays between in order, as leaves.  Non-still groups
+    code each span's midpoint anchor and then its two halves, so the pyramid
+    is built depth-first; a span of two has one leaf.  Every frame references
+    its nearest coded neighbours, the future ones only in non-still groups.
+    interval 1 degenerates to anchor-plus-overlay either way.
     """
-    if still:
-        events = [("leaf", d, 0) for d in range(1, interval)]
-    else:
-        events = _pyramid_events(interval)
-    anchor_layers = [layer for kind, _, layer in events if kind == "anchor"]
-    leaf_layer = max([1] + anchor_layers) + 1
+    interval = _integer("interval", interval)
+    if not 1 <= interval <= MAX_GROUP_INTERVAL:
+        raise ValueError(f"interval must lie in [1, {MAX_GROUP_INTERVAL}]")
+    if verdict not in (STILL, NON_STILL):
+        raise ValueError(f"unknown verdict {verdict!r}")
+    still = verdict == STILL
+    # leaves sit one layer below ALTREF or below the deepest midpoint anchor,
+    # which the split of an interval places at layer (interval - 1).bit_length()
+    leaf_layer = 2 if still else 1 + max(1, (interval - 1).bit_length())
 
     entries = [
         PlanEntry(
@@ -220,7 +208,8 @@ def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
         )
     ]
     coded = [0, interval]  # sorted displays coded so far
-    for kind, display, layer in events:
+
+    def code(display: int, role: FrameRole, layer: int) -> None:
         # coded[:i] precedes display, nearest last; coded[i:] follows it
         i = bisect(coded, display)
         # refs are inserted in REF_SLOTS order; plans_to_json keeps that order
@@ -229,12 +218,6 @@ def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
         if not still:
             refs.update(zip(("BWDREF", "ALTREF2"), coded[i:]))
         refs["ALTREF"] = interval
-        if kind == "leaf":
-            role, layer = FrameRole.REGULAR, leaf_layer
-        elif display - coded[i - 1] > EXTRA_ALTREF_MIN_REACH:
-            role = FrameRole.EXTRA_ALTREF
-        else:
-            role = FrameRole.BWDREF
         entries.append(
             PlanEntry(
                 display_index=display,
@@ -245,6 +228,23 @@ def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
             )
         )
         coded.insert(i, display)
+
+    def split(a: int, b: int, layer: int) -> None:
+        # a and b are coded; nothing between them is yet
+        if b - a == 2:
+            code(a + 1, FrameRole.REGULAR, leaf_layer)
+        elif b - a > 2:
+            m = (a + b) // 2
+            far = m - a > EXTRA_ALTREF_MIN_REACH
+            code(m, FrameRole.EXTRA_ALTREF if far else FrameRole.BWDREF, layer)
+            split(a, m, layer + 1)
+            split(m, b, layer + 1)
+
+    if still:
+        for display in range(1, interval):
+            code(display, FrameRole.REGULAR, leaf_layer)
+    else:
+        split(0, interval, 2)
     entries.append(
         PlanEntry(
             display_index=interval,
@@ -255,23 +255,7 @@ def _group_entries(interval: int, still: bool) -> list[PlanEntry]:
             show_existing=True,
         )
     )
-    return entries
-
-
-def plan_group(interval: int, verdict: str) -> GfGroupPlan:
-    """Build the coding plan for one group.
-
-    Still groups code the backward anchor first and then run through the
-    remaining displays in order.  Non-still groups build the binary
-    pyramid.  interval 1 degenerates to anchor-plus-overlay either way.
-    """
-    if not 1 <= interval <= MAX_GROUP_INTERVAL:
-        raise ValueError(f"interval must lie in [1, {MAX_GROUP_INTERVAL}]")
-    if verdict not in (STILL, NON_STILL):
-        raise ValueError(f"unknown verdict {verdict!r}")
-    still = verdict == STILL
-    structure = SINGLE_LAYER if still else MULTILAYER
-    return GfGroupPlan(interval, structure, _group_entries(interval, still))
+    return GfGroupPlan(interval, SINGLE_LAYER if still else MULTILAYER, entries)
 
 
 def validate_plan(

@@ -503,6 +503,23 @@ class TestOutputFile:
         assert captured.err.startswith("gfstill: ") and not out.exists()
 
 
+    @pytest.mark.parametrize("clip_exists", [True, False])
+    def test_histogram_on_the_output_path_is_usage_error(
+        self, clip_exists, static_clip, tmp_path, monkeypatch, capsys
+    ):
+        # the two spellings meet only once resolved; a missing input shows
+        # that the check comes before the input is read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        clip = static_clip if clip_exists else str(tmp_path / "missing.y4m")
+        argv = ["analyze", clip, "-o", "same.csv", "--histogram", "sub/../same.csv"]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gfstill: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "same.csv").exists()
+
+
 class TestParsing:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run() == 1

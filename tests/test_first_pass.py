@@ -456,6 +456,59 @@ class TestFrameStats:
                 analyze_frame(*pair)
 
 
+def _searched(monkeypatch, cur, ref, cfg):
+    """analyze_frame's stats and the (mv, best_sse, zero_mv_sse) of the one
+    search it ran."""
+    found = []
+
+    def search(*args):
+        found.append(motion_search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(first_pass, "motion_search", search)
+    return analyze_frame(cur, ref, cfg), found[0]
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("content", ["zoom 0.04", "pan 8", "static_noise 2"])
+    def test_transpose_transposes_the_search(self, content, monkeypatch):
+        # the candidate set is symmetric, the padding commutes with the
+        # transpose and the zero vector wins every tie, so only which of two
+        # tied nonzero vectors wins may differ; the stdev may move in its last
+        # bit, as np.std sums the transposed grid in another order
+        cur, ref = _clip(content, 1280, 720)
+        cfg = SearchConfig(16, 32)
+        stats, (_, best, zero) = _searched(monkeypatch, cur, ref, cfg)
+        stats_t, (_, best_t, zero_t) = _searched(monkeypatch, cur.T, ref.T, cfg)
+        assert np.array_equal(best_t, best.T) and np.array_equal(zero_t, zero.T)
+        for name in ("pcnt_zero_motion", "frame_sse", "inter_count", "block_count"):
+            assert getattr(stats_t, name) == getattr(stats, name)
+
+    @given(
+        case=_frame_cases,
+        offset=st.integers(-255, 255),
+        block_size=st.sampled_from((8, 16, 32)),
+        search_range=st.integers(1, 40),
+        kind=st.sampled_from(("exhaustive", "diamond")),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_unclipped_brightness_offset_changes_nothing(
+        self, case, offset, block_size, search_range, kind
+    ):
+        content, height, width, seed = case
+        frames = _frames(content, height, width, seed).astype(np.int32)
+        # squeeze the samples into the range that the offset cannot clip
+        frames = frames * (255 - abs(offset)) // 255 + max(0, -offset)
+        cur, ref = frames.astype(np.uint8)
+        lit_cur, lit_ref = (frames + offset).astype(np.uint8)
+        cfg = SearchConfig(block_size, search_range, kind)
+        for got, want in zip(
+            motion_search(lit_cur, lit_ref, cfg), motion_search(cur, ref, cfg)
+        ):
+            assert np.array_equal(got, want)
+        assert analyze_frame(lit_cur, lit_ref, cfg) == analyze_frame(cur, ref, cfg)
+
+
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,13 @@ class TestSegmentation:
             segment_groups(40, target_interval=17)
         with pytest.raises(ValueError):
             segment_groups(40, key_interval=1)
+        for args in [(33.0,), (33, 16.0), (40, 16, 20.0), ("40",)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                segment_groups(*args)
+        # anything with __index__ is taken, and stored as a plain int
+        bounds = segment_groups(np.int64(33), np.int64(16), np.int64(20))
+        assert bounds == [(1, 10), (11, 9), (21, 12)]
+        assert all(type(x) is int for pair in bounds for x in pair)
 
     @given(
         total=st.integers(2, 400),
@@ -244,6 +252,14 @@ class TestMultilayerPlan:
             plan_group(17, "non-still")
         with pytest.raises(ValueError):
             plan_group(8, "moving")
+        for verdict in ("still", "non-still"):
+            for interval in (4.0, "4"):
+                with pytest.raises(ValueError, match="must be an integer"):
+                    plan_group(interval, verdict)
+            for interval in (True, np.int64(4)):
+                plan = plan_group(interval, verdict)
+                assert type(plan.interval) is int
+                assert all(type(e.display_index) is int for e in plan.entries)
 
 
 class TestValidation:
