@@ -49,6 +49,8 @@ from .video_io import (
     load_y4m,
     load_yuv,
     write_y4m,
+    y4m_frames,
+    yuv_frames,
 )
 
 __version__ = "0.1.0"
@@ -88,4 +90,6 @@ __all__ = [
     "ssim",
     "validate_plan",
     "write_y4m",
+    "y4m_frames",
+    "yuv_frames",
 ]

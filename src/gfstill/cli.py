@@ -11,8 +11,12 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
+from typing import Iterator
+
+import numpy as np
 
 from .first_pass import BLOCK_SIZES, SEARCH_KINDS, SearchConfig
 from .gop_planner import (
@@ -32,7 +36,7 @@ from .stillness import (
     dump_metric_histograms,
 )
 from .synth import SYNTH_KINDS, SynthSpec, generate
-from .video_io import RAW_CHROMA, VideoSequence, Y4mError, load_y4m, load_yuv, write_y4m
+from .video_io import RAW_CHROMA, Y4mError, load_y4m, write_y4m, y4m_frames, yuv_frames
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[], help="per-group stillness metrics CSV")
     p.add_argument("input", help="Y4M or raw .yuv clip; - reads standard input")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", default=None, help="- writes standard output")
     p.add_argument("--histogram", default=None, help="also write histogram CSV here")
     p.add_argument(
         "--hist-bins", type=int, default=DEFAULT_HISTOGRAM_BINS, help="histogram bins"
@@ -99,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="group coding-structure plans as JSON")
     p.add_argument("input", help="Y4M or raw .yuv clip; - reads standard input")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", default=None, help="- writes standard output")
     _add_analysis_flags(p)
 
     p = sub.add_parser("quality", help="per-frame PSNR/SSIM CSV")
     p.add_argument("reference", help="Y4M clip; - reads standard input")
     p.add_argument("distorted", help="Y4M clip; - reads standard input")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", default=None, help="- writes standard output")
 
     p = sub.add_parser("bdrate", help="BD-rate between two RD CSV files")
     p.add_argument("base")
@@ -127,26 +131,35 @@ def _source(path: str):
     return sys.stdin.buffer if path == "-" else path
 
 
-def _load_sequence(path: str, args) -> VideoSequence:
+def _input_frames(path: str, args) -> Iterator[np.ndarray]:
     source = _source(path)
     raw_flags = args.width is not None or args.height is not None
     if path.endswith(".yuv") or raw_flags:
         if args.width is None or args.height is None:
             raise UsageError("raw input needs both --width and --height")
         chroma = args.chroma or RAW_CHROMA[0]
-        return load_yuv(source, args.width, args.height, chroma)
+        return yuv_frames(source, args.width, args.height, chroma)
     if args.chroma is not None:
         raise UsageError("--chroma applies only to raw input; Y4M names its own")
-    return load_y4m(source)
+    return y4m_frames(source)
 
 
 @contextmanager
 def _output(path: str | None):
-    if path is None:
+    if path is None or path == "-":
         yield sys.stdout
     else:
         with open(path, "w", newline="") as out:
             yield out
+
+
+def _is_stdout_file(path: str) -> bool:
+    """True when `path` is the regular file that standard output writes to."""
+    try:
+        out = os.fstat(1)
+        return stat.S_ISREG(out.st_mode) and os.path.samestat(out, os.stat(path))
+    except OSError:
+        return False
 
 
 def _analysed_groups(args) -> list[GroupPlanResult]:
@@ -165,7 +178,13 @@ def _analysed_groups(args) -> list[GroupPlanResult]:
         check_intervals(args.target_interval, args.key_interval)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sequence = _load_sequence(args.input, args)
+    results = plan_sequence(
+        _input_frames(args.input, args),
+        cfg,
+        thresholds,
+        target_interval=args.target_interval,
+        key_interval=args.key_interval,
+    )
     bs = SearchConfig.block_size
     if cfg.block_size != bs and thresholds == StillnessThresholds():
         print(
@@ -173,13 +192,7 @@ def _analysed_groups(args) -> list[GroupPlanResult]:
             "recalibrate before trusting verdicts",
             file=sys.stderr,
         )
-    return plan_sequence(
-        sequence,
-        cfg,
-        thresholds,
-        target_interval=args.target_interval,
-        key_interval=args.key_interval,
-    )
+    return results
 
 
 def _summarise(results: list[GroupPlanResult]) -> str:
@@ -190,8 +203,12 @@ def _summarise(results: list[GroupPlanResult]) -> str:
 def cmd_analyze(args) -> int:
     if args.hist_bins < 1:
         raise UsageError("--hist-bins must be >= 1")
-    if args.histogram and args.output:
-        if os.path.realpath(args.histogram) == os.path.realpath(args.output):
+    if args.histogram:
+        if args.output in (None, "-"):
+            # a pipe keeps both outputs apart; a file opened twice does not
+            if _is_stdout_file(args.histogram):
+                raise UsageError("--histogram names the file standard output writes to")
+        elif os.path.realpath(args.histogram) == os.path.realpath(args.output):
             raise UsageError("--histogram and --output name the same file")
     results = _analysed_groups(args)
     # the sidecar opens first, so a bad path fails before any output is written
@@ -286,7 +303,37 @@ _COMMANDS = {
 }
 
 
+# glibc's malloc serves a block of at least M_MMAP_THRESHOLD bytes by mmap and
+# returns the top of the heap to the system once it exceeds M_TRIM_THRESHOLD.
+# Both start at 128 KiB and rise only when a large mmapped block is freed.  The
+# first pass and SSIM allocate numpy temporaries of a few hundred KiB per call,
+# so at the start values each call maps and page-faults them afresh.  On one
+# CPU of a 2-CPU x86-64 Linux host, the 32 first-pass calls of a 33-frame CIF
+# pan took 19,474 minor faults and 158-182 ms, against 691 and 95-129 ms with
+# these thresholds; SSIM over 33 CIF pairs took 27,766 faults and 492-543 ms,
+# against 328 and 271-457 ms.  These are the values glibc itself sets after it
+# frees a 32 MiB block.
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; do nothing on any other libc."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if not glibc:
+        return
+    import ctypes  # already loaded by numpy
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _set_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

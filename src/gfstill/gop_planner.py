@@ -26,7 +26,9 @@ import enum
 from bisect import bisect
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, islice
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .first_pass import FrameFirstPassStats, SearchConfig, analyze_frame
 from .parallel import cpus, ordered_map
@@ -39,7 +41,7 @@ from .stillness import (
     classify_stillness,
     compute_group_metrics,
 )
-from .video_io import VideoSequence, _integer
+from .video_io import FramePlane, VideoSequence, _integer, check_luma
 
 MIN_GROUP_INTERVAL = 4
 MAX_GROUP_INTERVAL = 16
@@ -353,36 +355,77 @@ def validate_plan(
 
 
 def plan_sequence(
-    sequence: VideoSequence,
+    frames: Iterable[np.ndarray] | VideoSequence,
     cfg: SearchConfig | None = None,
     thresholds: StillnessThresholds | None = None,
     target_interval: int = MAX_GROUP_INTERVAL,
     key_interval: int | None = None,
 ) -> list[GroupPlanResult]:
-    """Segment, analyse and plan a whole sequence.
+    """Segment, analyse and plan a sequence of 2-D uint8 frames of one size.
 
-    Each group's frames are matched against their display predecessor, the
-    first frame of a group against the last frame before it.  Frames of at
-    least POOL_MIN_PIXELS have their pairs matched on a thread per CPU this
-    process may run on; the result is the same on any number of CPUs.
+    `frames` may be any iterable, a one-shot reader included; a
+    VideoSequence gives its planes.  Each group's frames are matched against
+    their display predecessor, the first frame of a group against the last
+    frame before it.  Pairs are matched as the frames arrive, and a frame is
+    dropped once its pairs are done, so a run holds the newest frame, the
+    one before it, the frame before a keyframe until the next frame shows
+    that the keyframe is not the last, and the pairs being matched.  Frames
+    of at least POOL_MIN_PIXELS have their pairs matched on a thread per
+    CPU this process may run on; the result is the same on any number of
+    CPUs.
     """
     cfg = cfg or SearchConfig()
-    groups = segment_groups(len(sequence.frames), target_interval, key_interval)
-    pixels = sequence.width * sequence.height
-    frames = [f.samples for f in sequence.frames]
+    target_interval, key_interval = check_intervals(target_interval, key_interval)
+    if isinstance(frames, VideoSequence):
+        frames = [f.samples for f in frames.frames]
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
+        raise ValueError("need at least two frames to form a group")
+    shape = FramePlane(first).samples.shape
+    pixels = first.size
+    count = 1
 
-    def first_pass(pair: tuple[int, int]) -> FrameFirstPassStats:
-        d, start = pair
-        return analyze_frame(frames[d], frames[d - 1], cfg, frame_index=d - start + 1)
+    def pairs(prev: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+        """(frame d, frame d - 1, d) for every frame d that a group owns."""
+        nonlocal count
+        held = None
+        for cur in frames:
+            check_luma(cur)
+            if cur.shape != shape:
+                raise ValueError(
+                    f"frame {count} is {cur.shape[1]}x{cur.shape[0]}, "
+                    f"expected {shape[1]}x{shape[0]}"
+                )
+            d, count = count, count + 1
+            # segment_groups makes every key_interval-th frame a keyframe,
+            # which owns no pair, unless it is the last frame
+            held = None
+            if key_interval is not None and d % key_interval == 0:
+                held = (cur, prev, d)
+            else:
+                yield cur, prev, d
+            prev = cur
+        if held is not None:
+            yield held
 
-    pairs = [(d, s) for s, interval in groups for d in range(s, s + interval)]
+    def first_pass(pair: tuple[np.ndarray, np.ndarray, int]) -> FrameFirstPassStats:
+        cur, prev, d = pair
+        return analyze_frame(cur, prev, cfg, frame_index=d)
+
     workers = cpus() if pixels >= POOL_MIN_PIXELS else 1
+    stream = pairs(first)
+    del first  # frame 0 is dropped once its pair is done
     # every pair finishes before any group is scored, so the scoring never
     # runs beside a worker
-    stats = iter(ordered_map(first_pass, pairs, workers))
+    stats = iter(ordered_map(first_pass, stream, workers))
     results = []
+    groups = segment_groups(count, target_interval, key_interval)
     for gid, (start, interval) in enumerate(groups, start=1):
-        metrics = compute_group_metrics(list(islice(stats, interval)), pixels)
+        group_stats = list(islice(stats, interval))
+        for s in group_stats:
+            s.frame_index -= start - 1  # display d is frame d - start + 1 of its group
+        metrics = compute_group_metrics(group_stats, pixels)
         verdict = classify_stillness(metrics, thresholds)
         results.append(
             GroupPlanResult(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -16,28 +16,55 @@ def cpus() -> int:
     return os.cpu_count() or 1  # no affinity mask on macOS or Windows
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[R]:
     """`[fn(item) for item in items]` on `workers` threads, the caller one of them.
 
-    Every thread takes the next index from one shared iterator and stores
-    its result at that index, so the output cannot depend on scheduling.
-    The calling thread takes a share rather than waiting: each new thread
-    gets its own malloc arena, which keeps its peak working set, so one
-    thread fewer holds less memory.  An error raised by `fn` reaches the
-    caller as the same object.  One worker runs inline, and does not load
-    `concurrent.futures` (nor `logging` with it).
+    `items` may be a one-shot iterator, such as a generator that reads its
+    items from a stream: every thread takes the next item, with its index,
+    under one lock, and stores its result at that index, so the output
+    cannot depend on scheduling.  A thread drops its item before it takes
+    the next, so the iterator can free what the finished items held.  The
+    calling thread takes a share rather than waiting: each new thread gets
+    its own malloc arena, which keeps its peak working set, so one thread
+    fewer holds less memory.  An error raised by `fn` or by the iterator
+    reaches the caller as the same object, and the other threads take no
+    more items.  One worker, or a sized collection of one item, runs inline
+    and does not load `concurrent.futures` (nor `logging` with it).
     """
-    workers = min(workers, len(items))
+    if hasattr(items, "__len__"):
+        workers = min(workers, len(items))
+    results: list = []
     if workers <= 1:
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    indices = iter(range(len(items)))  # next() on it is atomic under the GIL
+        for item in items:
+            results.append(fn(item))
+            del item
+        return results
+
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = iter(items)
+    done = object()
+    lock = threading.Lock()
 
     def drain() -> None:
-        for i in indices:
-            results[i] = fn(items[i])
-
-    from concurrent.futures import ThreadPoolExecutor
+        nonlocal items
+        # not enumerate(): it keeps its last (index, item) tuple, and with it
+        # the item, until it has taken the next one
+        while True:
+            with lock:  # a generator raises if two threads resume it at once
+                item = next(items, done)
+                if item is done:
+                    return
+                i = len(results)
+                results.append(None)
+            try:
+                results[i] = fn(item)
+            except BaseException:
+                with lock:  # the other threads take no more items
+                    items = iter(())
+                raise
+            del item
 
     with ThreadPoolExecutor(workers - 1) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]

@@ -82,11 +82,17 @@ def _value_noise(seed: int, tag: int, width: int, height: int) -> np.ndarray:
         i, tx = np.divmod(xs, wavelength)
         ty = ty / wavelength
         tx = tx / wavelength
-        octave_tag = tag * 8 + octave + 1
-        v00 = _hash01(seed, octave_tag, j, i)
-        v01 = _hash01(seed, octave_tag, j, i + 1)
-        v10 = _hash01(seed, octave_tag, j + 1, i)
-        v11 = _hash01(seed, octave_tag, j + 1, i + 1)
+        # hash each lattice point once, then look the four corners up
+        lattice = _hash01(
+            seed,
+            tag * 8 + octave + 1,
+            np.arange(j[-1, 0] + 2, dtype=np.int64)[:, None],
+            np.arange(i[0, -1] + 2, dtype=np.int64)[None, :],
+        )
+        v00 = lattice[j, i]
+        v01 = lattice[j, i + 1]
+        v10 = lattice[j + 1, i]
+        v11 = lattice[j + 1, i + 1]
         top = v00 * (1.0 - tx) + v01 * tx
         bottom = v10 * (1.0 - tx) + v11 * tx
         acc += weight * (top * (1.0 - ty) + bottom * ty)

@@ -7,12 +7,13 @@ neutral chroma, so a load/write/load cycle preserves luma exactly.
 
 from __future__ import annotations
 
+import io
 import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Iterator, Union
 
 import numpy as np
 
@@ -42,6 +43,11 @@ _TOKEN = re.compile(rb"[^ ]+")
 # range rather than as malformed.
 _NUMBER = re.compile(rb"-?[0-9]+")
 _FRAME_LINE = re.compile(rb"FRAME( .*)?")
+# A luma plane is read into an array of at most this many bytes that doubles
+# as it fills, so a header that declares a huge frame fails as a truncated
+# payload instead of allocating the declared size.  A 4096x4096 plane fits
+# in the first array.
+_PIECE = 1 << 24
 
 
 class Y4mError(ValueError):
@@ -126,19 +132,15 @@ Source = Union[str, Path, bytes, BinaryIO]
 
 @contextmanager
 def _opened(target, mode: str, **open_args):
-    """Open and close `target` if it is a path; pass a stream through."""
+    """Open and close `target` if it is a path; read `bytes` through a
+    stream; pass a stream through."""
     if isinstance(target, (str, Path)):
         with open(target, mode, **open_args) as stream:
             yield stream
+    elif isinstance(target, bytes):
+        yield io.BytesIO(target)
     else:
         yield target
-
-
-def _read_all(source: Source) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    with _opened(source, "rb") as stream:
-        return stream.read()
 
 
 def _frame_size(width: int, height: int, colorspace: str) -> int:
@@ -160,51 +162,83 @@ def _header_dimension(name: str, value: bytes, pos: int) -> int:
     return size
 
 
+def _fill(stream: BinaryIO, view: memoryview) -> int:
+    """Read into `view` until it is full or the stream ends; returns the count."""
+    got = 0
+    while got < len(view):
+        n = stream.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
+def _read_luma(stream: BinaryIO, size: int) -> np.ndarray:
+    """Up to `size` bytes as a flat uint8 array, fewer only where the stream
+    ends.  The array starts at _PIECE bytes at most and doubles as it fills,
+    so a declared size far beyond the bytes present is never allocated."""
+    buf = np.empty(min(size, _PIECE), np.uint8)
+    got = _fill(stream, memoryview(buf))
+    while got == buf.size < size:
+        grown = np.empty(min(size, 2 * buf.size), np.uint8)
+        grown[:got] = buf
+        buf = grown
+        got += _fill(stream, memoryview(buf)[got:])
+    return buf[:got]
+
+
 def _frames(
-    data: bytes, pos: int, width: int, height: int, frame_bytes: int, marker: bool
-) -> list[FramePlane]:
-    """Cut `data` from `pos` into payloads of `frame_bytes`, each after a
-    FRAME line when `marker` is set, and copy out each luma plane."""
-    frames: list[FramePlane] = []
-    while pos < len(data):
+    stream: BinaryIO, pos: int, width: int, height: int, frame_bytes: int, marker: bool
+) -> Iterator[np.ndarray]:
+    """Read payloads of `frame_bytes` from `stream`, which is at byte `pos`,
+    each after a FRAME line when `marker` is set, and yield each luma plane
+    as it is read.  Chroma is read into one scratch buffer and dropped."""
+    luma = width * height
+    # allocated after the first whole luma plane, which bounds its size
+    chroma = None
+    count = 0
+    while True:
         if marker:
-            end = data.find(b"\n", pos)
-            if end < 0 or not _FRAME_LINE.fullmatch(data, pos, end):
+            line = stream.readline()
+            if not line:
+                break
+            if not (line.endswith(b"\n") and _FRAME_LINE.fullmatch(line, 0, len(line) - 1)):
                 raise Y4mError("expected FRAME marker", pos)
-            pos = end + 1
-        if len(data) - pos < frame_bytes:
+            pos += len(line)
+        plane = _read_luma(stream, luma)
+        got = plane.size
+        if not got and not marker:
+            break
+        if got == luma:
+            if chroma is None:
+                chroma = memoryview(np.empty(frame_bytes - luma, np.uint8))
+            got += _fill(stream, chroma)
+        if got < frame_bytes:
             raise Y4mError(
-                f"truncated frame payload: needed {frame_bytes} bytes, "
-                f"got {len(data) - pos}",
-                pos,
+                f"truncated frame payload: needed {frame_bytes} bytes, got {got}", pos
             )
-        luma = np.frombuffer(data, np.uint8, width * height, pos)
-        frames.append(FramePlane(luma.reshape(height, width).copy()))
+        yield plane.reshape(height, width)
+        del plane  # the caller may drop the frame before asking for the next
         pos += frame_bytes
-    if not frames:
+        count += 1
+    if not count:
         raise Y4mError("stream contains no frames", pos)
-    return frames
 
 
-def load_y4m(source: Source) -> VideoSequence:
-    """Parse a YUV4MPEG2 stream into luma frames.
-
-    Accepts 8-bit 4:2:0 (any siting), 4:2:2, 4:4:4 and mono only.  Malformed
-    signatures or FRAME lines, unsupported colorspace tokens, frames under
-    16x16, nonpositive frame rates and truncated payloads raise Y4mError
-    with the byte offset of the problem.
-    """
-    data = _read_all(source)
-    if not data.startswith(Y4M_SIGNATURE):
+def _read_y4m(stream: BinaryIO) -> tuple[tuple[int, int], Iterator[np.ndarray]]:
+    """Parse the stream header; return the frame rate and a generator of
+    the luma planes that follow it."""
+    header = stream.readline()
+    if not header.startswith(Y4M_SIGNATURE):
         raise Y4mError("malformed YUV4MPEG2 signature", 0)
-    header_end = data.find(b"\n")
-    if header_end < 0:
+    if not header.endswith(b"\n"):
         raise Y4mError("stream header is missing its newline", 0)
+    header_end = len(header) - 1
 
     width = height = 0
     rate = (30, 1)
     colorspace = "420"
-    for match in _TOKEN.finditer(data, len(Y4M_SIGNATURE), header_end):
+    for match in _TOKEN.finditer(header, len(Y4M_SIGNATURE), header_end):
         pos, token = match.start(), match.group()
         tag, value = token[:1], token[1:]
         try:
@@ -239,13 +273,34 @@ def load_y4m(source: Source) -> VideoSequence:
         raise Y4mError("header does not declare both W and H", 0)
 
     frame_bytes = _frame_size(width, height, colorspace)
-    return VideoSequence(
-        _frames(data, header_end + 1, width, height, frame_bytes, marker=True), rate
-    )
+    return rate, _frames(stream, len(header), width, height, frame_bytes, marker=True)
 
 
-def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> VideoSequence:
-    """Read headerless planar YUV given externally supplied geometry."""
+def y4m_frames(source: Source) -> Iterator[np.ndarray]:
+    """Yield the luma planes of a YUV4MPEG2 stream one at a time, each read
+    from the stream as it is asked for; `load_y4m` lists the same planes."""
+    with _opened(source, "rb") as stream:
+        yield from _read_y4m(stream)[1]
+
+
+def load_y4m(source: Source) -> VideoSequence:
+    """Parse a YUV4MPEG2 stream into luma frames.
+
+    Accepts 8-bit 4:2:0 (any siting), 4:2:2, 4:4:4 and mono only.  Malformed
+    signatures or FRAME lines, unsupported colorspace tokens, frames under
+    16x16, nonpositive frame rates and truncated payloads raise Y4mError
+    with the byte offset of the problem.
+    """
+    with _opened(source, "rb") as stream:
+        rate, frames = _read_y4m(stream)
+        return VideoSequence(map(FramePlane, frames), rate)
+
+
+def yuv_frames(
+    source: Source, width: int, height: int, chroma: str = "420"
+) -> Iterator[np.ndarray]:
+    """Yield the luma planes of headerless planar YUV of the given geometry
+    one at a time, each read from the stream as it is asked for."""
     if chroma not in RAW_CHROMA:
         raise ValueError(f"unsupported raw chroma format {chroma!r}")
     if width < MIN_DIMENSION or height < MIN_DIMENSION:
@@ -254,9 +309,13 @@ def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> Vi
             f"got {width}x{height}"
         )
     frame_bytes = _frame_size(width, height, chroma)
-    return VideoSequence(
-        _frames(_read_all(source), 0, width, height, frame_bytes, marker=False)
-    )
+    with _opened(source, "rb") as stream:
+        yield from _frames(stream, 0, width, height, frame_bytes, marker=False)
+
+
+def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> VideoSequence:
+    """Read headerless planar YUV given externally supplied geometry."""
+    return VideoSequence(map(FramePlane, yuv_frames(source, width, height, chroma)))
 
 
 def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:

@@ -4,16 +4,32 @@ The oracles here deliberately avoid the library's vectorised code paths:
 the motion-search oracles are a plain nested scan and a one-block diamond
 walk with no cache, the SSIM oracle walks
 windows one by one.  They define what the fast implementations must match.
+The batch pipeline reference holds every frame at once and analyses each
+group's pairs in turn, the way the streamed `plan_sequence` must agree with.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gfstill.first_pass import SearchConfig, analyze_frame
+from gfstill.gop_planner import (
+    GroupPlanResult,
+    dump_group_metrics,
+    plan_group,
+    plans_to_json,
+    segment_groups,
+)
+from gfstill.stillness import (
+    StillnessThresholds,
+    classify_stillness,
+    compute_group_metrics,
+)
 from gfstill.video_io import VideoSequence, write_y4m
 
 
@@ -152,6 +168,33 @@ def psnr_oracle(a: np.ndarray, b: np.ndarray) -> float:
     if total == 0:
         return 100.0
     return 10.0 * math.log10(255.0**2 / (total / (h * w)))
+
+
+def batch_pipeline(
+    frames: list[np.ndarray],
+    cfg: SearchConfig,
+    target_interval: int,
+    key_interval: int | None,
+) -> tuple[str, str]:
+    """`gfstill analyze` CSV and `gfstill plan` JSON for a list of frames,
+    built from the whole list: segment it, analyse each group's frame pairs
+    one by one, score the group and plan it, with the default thresholds."""
+    thresholds = StillnessThresholds()
+    results = []
+    groups = segment_groups(len(frames), target_interval, key_interval)
+    for gid, (start, interval) in enumerate(groups, start=1):
+        stats = [
+            analyze_frame(frames[d], frames[d - 1], cfg, frame_index=d - start + 1)
+            for d in range(start, start + interval)
+        ]
+        metrics = compute_group_metrics(stats, frames[0].size)
+        verdict = classify_stillness(metrics, thresholds)
+        results.append(
+            GroupPlanResult(gid, start, metrics, verdict, plan_group(interval, verdict))
+        )
+    csv_out = io.StringIO()
+    dump_group_metrics(results, csv_out)
+    return csv_out.getvalue(), json.dumps(plans_to_json(results), indent=2) + "\n"
 
 
 def random_plane(rng: np.random.Generator, width: int, height: int) -> np.ndarray:

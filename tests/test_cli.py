@@ -520,6 +520,52 @@ class TestOutputFile:
         assert not (tmp_path / "same.csv").exists()
 
 
+    @pytest.mark.parametrize("command", ["analyze", "plan", "quality"])
+    def test_dash_output_is_stdout(
+        self, command, static_clip, pan_clip, tmp_path, monkeypatch, capsys
+    ):
+        inputs = [static_clip, pan_clip] if command == "quality" else [pan_clip]
+        assert run(command, *inputs) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        assert run(command, *inputs, "-o", "-") == 0
+        assert capsys.readouterr().out == printed
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("spelling", ["path", "/dev/stdout"])
+    def test_histogram_on_the_stdout_file_is_usage_error(
+        self, spelling, static_clip, tmp_path
+    ):
+        if spelling == "/dev/stdout" and not os.path.exists(spelling):
+            pytest.skip("no /dev/stdout here")
+        out = tmp_path / "out.csv"
+        hist = str(out) if spelling == "path" else spelling
+        env = dict(os.environ)
+        package_root = str(Path(gfstill.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        argv = [sys.executable, "-m", "gfstill.cli", "analyze", static_clip]
+        with open(out, "wb") as stdout:
+            done = subprocess.run(
+                [*argv, "--histogram", hist], env=env, stdout=stdout,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert done.returncode == 1
+        assert done.stderr.startswith("gfstill: ") and done.stderr.count("\n") == 1
+        assert out.read_bytes() == b""
+        if spelling == "/dev/stdout":
+            # a pipe is no file: the metrics and the histogram both reach it
+            plain = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            piped = subprocess.run(
+                [*argv, "--histogram", hist], env=env, capture_output=True,
+                timeout=120,
+            )
+            assert plain.returncode == piped.returncode == 0, piped.stderr
+            assert plain.stdout in piped.stdout
+            assert len(piped.stdout) > len(plain.stdout)
+
+
 class TestParsing:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run() == 1
@@ -536,6 +582,27 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "analyze" in capsys.readouterr().out
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.parametrize("libc", ["no-confstr-name", "not-glibc", "no-mallopt"])
+    def test_other_platforms_are_skipped_silently(
+        self, libc, static_clip, monkeypatch, capsys
+    ):
+        import ctypes
+
+        from gfstill import cli
+
+        def confstr(name):
+            if libc == "no-confstr-name":
+                raise ValueError("unrecognized configuration name")
+            return None if libc == "not-glibc" else "glibc 2.36"
+
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        cli._set_malloc_thresholds()
+        assert run("analyze", static_clip) == 0
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 # Runs one CLI command in a fresh interpreter, then reports which scipy

@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import gfstill
 from gfstill.parallel import ordered_map
 
@@ -38,6 +40,69 @@ def test_every_item_runs_once_under_frequent_thread_switches():
         sys.setswitchinterval(interval)
     assert results == [-i for i in range(len(calls))]
     assert calls == [1] * len(calls)
+
+
+def test_a_one_shot_generator_is_taken_in_order_once_under_frequent_switches():
+    # the threads resume one generator between them; without the lock two of
+    # them resume it at once and it raises "generator already executing"
+    taken = []
+
+    def numbers():
+        for i in range(3000):
+            taken.append(i)
+            yield i
+
+    calls = [0] * 3000
+
+    def count(i):
+        calls[i] += 1
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = ordered_map(count, numbers(), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert taken == list(range(3000))
+    assert results == [-i for i in range(3000)]
+    assert calls == [1] * 3000
+
+
+def test_an_error_from_the_iterator_reaches_the_caller():
+    raised = ValueError("truncated frame payload")
+
+    def items():
+        yield from range(5)
+        raise raised
+
+    for workers in (1, 3):
+        with pytest.raises(ValueError) as info:
+            ordered_map(abs, items(), workers)
+        assert info.value is raised
+
+
+def test_a_worker_error_stops_the_others_taking_items():
+    # a reader that fails at frame 3 must not leave the other threads
+    # reading the rest of a long clip before the error is reported
+    raised = ValueError("frame 3 is unreadable")
+    taken = []
+
+    def numbers():
+        for i in range(10_000):
+            taken.append(i)
+            yield i
+
+    def fail_at_3(i):
+        if i == 3:
+            raise raised
+        time.sleep(0.0001)
+        return i
+
+    with pytest.raises(ValueError) as info:
+        ordered_map(fail_at_3, numbers(), 4)
+    assert info.value is raised
+    assert len(taken) < 100
 
 
 def test_one_worker_runs_inline_without_the_pool_module():

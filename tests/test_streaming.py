@@ -1,0 +1,148 @@
+"""The streamed pipeline: frames go from the reader through the first pass
+one at a time, and the output equals a batch run over the whole clip."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gfstill import gop_planner
+from gfstill.cli import main
+from gfstill.first_pass import SearchConfig
+from gfstill.gop_planner import (
+    MAX_GROUP_INTERVAL,
+    MIN_GROUP_INTERVAL,
+    plan_sequence,
+    plans_to_json,
+)
+from gfstill.synth import SynthSpec, generate
+from gfstill.video_io import write_y4m
+
+from conftest import batch_pipeline
+
+
+def _run(argv: list[str], stdin: bytes | None = None) -> str:
+    out = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        if stdin is not None:
+            mp = stack.enter_context(pytest.MonkeyPatch.context())
+            mp.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@contextlib.contextmanager
+def _cpus(n: int):
+    """n CPUs in the affinity mask; with more than one, every frame size is
+    pooled, so small frames go through the threads too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        if n > 1:
+            mp.setattr(gop_planner, "POOL_MIN_PIXELS", 0)
+        yield
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["static", "static_noise", "pan", "cut"]),
+    frames=st.integers(2, 40),
+    width=st.integers(16, 72),
+    height=st.integers(16, 56),
+    target=st.integers(MIN_GROUP_INTERVAL, MAX_GROUP_INTERVAL),
+    key=st.one_of(st.none(), st.integers(2, 20)),
+    search_kind=st.sampled_from(["exhaustive", "diamond"]),
+    cpus=st.sampled_from([1, 2]),
+)
+def test_streamed_cli_equals_the_batch_reference(
+    kind, frames, width, height, target, key, search_kind, cpus
+):
+    spec = SynthSpec(kind, width, height, frames, amplitude=2.0, seed=frames)
+    planes = [f.samples for f in generate(spec).frames]
+    cfg = SearchConfig(search_kind=search_kind)
+    want = batch_pipeline(planes, cfg, target, key)
+
+    y4m = io.BytesIO()
+    write_y4m(generate(spec), y4m)
+    y4m = y4m.getvalue()
+    chroma = bytes([128]) * (2 * -(-width // 2) * -(-height // 2))
+    yuv = b"".join(p.tobytes() + chroma for p in planes)
+    flags = ["--target-interval", str(target), "--search-kind", search_kind]
+    if key is not None:
+        flags += ["--key-interval", str(key)]
+    geometry = ["--width", str(width), "--height", str(height)]
+    with tempfile.TemporaryDirectory() as tmp, _cpus(cpus):
+        clip, raw = Path(tmp, "clip.y4m"), Path(tmp, "clip.yuv")
+        clip.write_bytes(y4m)
+        raw.write_bytes(yuv)
+        for command, expected in zip(("analyze", "plan"), want):
+            assert _run([command, str(clip), *flags]) == expected
+            assert _run([command, "-", *flags], stdin=y4m) == expected
+            assert _run([command, str(raw), *geometry, *flags]) == expected
+            assert _run([command, "-", *geometry, *flags], stdin=yuv) == expected
+
+
+@pytest.mark.parametrize(
+    "cpus, key_interval, limit",
+    [
+        (1, None, 3),
+        (1, 5, 3),
+        (2, None, 4),
+        # a keyframe's predecessor is kept until the next frame arrives; if
+        # the other worker still holds an older pair then, that is one more
+        (2, 5, 5),
+    ],
+)
+def test_plan_sequence_holds_a_few_frames_at_once(cpus, key_interval, limit):
+    base = generate(SynthSpec("pan", 48, 32, 40, amplitude=1.0)).frames
+    refs: list[weakref.ref] = []
+    peak = 0
+
+    def frames():
+        nonlocal peak
+        for f in base:
+            frame = f.samples.copy()
+            refs.append(weakref.ref(frame))
+            peak = max(peak, sum(r() is not None for r in refs))
+            yield frame
+            del frame
+
+    with _cpus(cpus):
+        streamed = plan_sequence(frames(), key_interval=key_interval)
+    assert len(refs) == 40
+    assert 2 <= peak <= limit
+    batch = plan_sequence([f.samples for f in base], key_interval=key_interval)
+    assert plans_to_json(streamed) == plans_to_json(batch)
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        ([], "need at least two frames"),
+        ([np.zeros((16, 16), np.uint8)], "need at least two frames"),
+        ([np.zeros((8, 16), np.uint8)] * 2, "at least 16x16"),
+        (
+            [np.zeros((16, 16), np.uint8), np.zeros((16, 16), np.int16)],
+            "2-D uint8",
+        ),
+        (
+            [np.zeros((16, 16), np.uint8)] * 2 + [np.zeros((16, 32), np.uint8)],
+            "^frame 2 is 32x16, expected 16x16$",
+        ),
+    ],
+    ids=["empty", "one-frame", "small", "int16", "mixed-sizes"],
+)
+def test_plan_sequence_checks_each_frame(frames, message):
+    with pytest.raises(ValueError, match=message):
+        plan_sequence(iter(frames))

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from gfstill import video_io
 from gfstill.video_io import (
     FramePlane,
     VideoSequence,
@@ -12,6 +13,8 @@ from gfstill.video_io import (
     load_y4m,
     load_yuv,
     write_y4m,
+    y4m_frames,
+    yuv_frames,
 )
 
 from conftest import NOT_LUMA, serialize_y4m
@@ -177,6 +180,52 @@ class TestLoad:
         from_path = load_y4m(path)
         from_stream = load_y4m(io.BytesIO(data))
         assert len(from_path.frames) == len(from_stream.frames) == 2
+
+
+class TestStream:
+    def test_each_frame_is_read_when_asked_for(self):
+        frames = _frames(3)
+        data = _y4m_bytes(64, 48, frames)
+        stream = io.BytesIO(data)
+        reader = y4m_frames(stream)
+        assert stream.tell() == 0  # nothing is read before the first frame
+        header = data.index(b"\n") + 1
+        frame_bytes = len(b"FRAME\n") + 64 * 48 * 3 // 2
+        for i, want in enumerate(frames, start=1):
+            assert np.array_equal(next(reader), want)
+            assert stream.tell() == header + i * frame_bytes
+        assert next(reader, None) is None
+
+    def test_an_error_comes_with_the_frame_it_is_in(self):
+        frames = _frames(3)
+        data = _y4m_bytes(64, 48, frames)
+        reader = y4m_frames(data[:-1])
+        assert np.array_equal(next(reader), frames[0])
+        assert np.array_equal(next(reader), frames[1])
+        with pytest.raises(Y4mError, match="truncated frame payload"):
+            next(reader)
+
+    @pytest.mark.parametrize("piece", [64, 1000, 1 << 24])
+    def test_a_luma_plane_read_in_growing_arrays_keeps_every_byte_and_offset(
+        self, piece, monkeypatch
+    ):
+        # below 3072 bytes, a luma plane is read into arrays that double
+        monkeypatch.setattr(video_io, "_PIECE", piece)
+        frames = _frames(2)
+        data = _y4m_bytes(64, 48, frames)
+        for got, want in zip(load_y4m(data).frames, frames):
+            assert np.array_equal(got.samples, want)
+        blob = b"".join(f.tobytes() + bytes(32 * 24) * 2 for f in frames)
+        assert all(
+            np.array_equal(got, want) for got, want in zip(yuv_frames(blob, 64, 48), frames)
+        )
+        clipped = data[: len(data) - 3000]
+        with pytest.raises(Y4mError) as exc:
+            load_y4m(clipped)
+        offset = exc.value.offset
+        got = len(clipped) - offset
+        assert clipped[offset - 6 : offset] == b"FRAME\n"
+        assert f"needed {64 * 48 * 3 // 2} bytes, got {got} " in str(exc.value)
 
 
 class TestWrite:
