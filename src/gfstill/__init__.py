@@ -47,7 +47,6 @@ from .video_io import (
     VideoSequence,
     Y4mError,
     load_y4m,
-    load_yuv,
     write_y4m,
     y4m_frames,
     yuv_frames,
@@ -77,7 +76,6 @@ __all__ = [
     "generate",
     "load_rd_csv",
     "load_y4m",
-    "load_yuv",
     "metric_histograms",
     "motion_search",
     "pad_to_block_grid",

@@ -36,7 +36,7 @@ from .stillness import (
     dump_metric_histograms,
 )
 from .synth import SYNTH_KINDS, SynthSpec, generate
-from .video_io import RAW_CHROMA, Y4mError, load_y4m, write_y4m, y4m_frames, yuv_frames
+from .video_io import RAW_CHROMA, Y4mError, write_y4m, y4m_frames, yuv_frames
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[], help="per-group stillness metrics CSV")
     p.add_argument("input", help="Y4M or raw .yuv clip; - reads standard input")
     p.add_argument("-o", "--output", default=None, help="- writes standard output")
-    p.add_argument("--histogram", default=None, help="also write histogram CSV here")
+    p.add_argument(
+        "--histogram", default=None, help="also write histogram CSV here; - is stdout"
+    )
     p.add_argument(
         "--hist-bins", type=int, default=DEFAULT_HISTOGRAM_BINS, help="histogram bins"
     )
@@ -205,14 +207,17 @@ def cmd_analyze(args) -> int:
         raise UsageError("--hist-bins must be >= 1")
     if args.histogram:
         if args.output in (None, "-"):
-            # a pipe keeps both outputs apart; a file opened twice does not
-            if _is_stdout_file(args.histogram):
-                raise UsageError("--histogram names the file standard output writes to")
-        elif os.path.realpath(args.histogram) == os.path.realpath(args.output):
+            # a pipe keeps both outputs apart; a file opened twice does not,
+            # and `-` is the standard output the metrics go to
+            if args.histogram == "-" or _is_stdout_file(args.histogram):
+                raise UsageError("--histogram names the standard output the CSV goes to")
+        elif args.histogram != "-" and (
+            os.path.realpath(args.histogram) == os.path.realpath(args.output)
+        ):
             raise UsageError("--histogram and --output name the same file")
     results = _analysed_groups(args)
     # the sidecar opens first, so a bad path fails before any output is written
-    hist = open(args.histogram, "w", newline="") if args.histogram else nullcontext()
+    hist = _output(args.histogram) if args.histogram else nullcontext()
     with hist as hist_out, _output(args.output) as out:
         dump_group_metrics(results, out)
         if args.histogram:
@@ -242,10 +247,8 @@ def cmd_plan(args) -> int:
 def cmd_quality(args) -> int:
     if args.reference == args.distorted == "-":
         raise UsageError("standard input can feed only one of the two clips")
-    ref = load_y4m(_source(args.reference))
-    dist = load_y4m(_source(args.distorted))
     psnr_db, ssim = sequence_quality(
-        [f.samples for f in ref.frames], [f.samples for f in dist.frames]
+        y4m_frames(_source(args.reference)), y4m_frames(_source(args.distorted))
     )
     mean_psnr_db = math.fsum(psnr_db) / len(psnr_db)
     mean_ssim = math.fsum(ssim) / len(ssim)

@@ -55,7 +55,6 @@ class SearchConfig:
 
 @dataclass
 class FrameFirstPassStats:
-    frame_index: int
     pcnt_zero_motion: float
     frame_sse: int
     zero_mv_sse_stdev: float
@@ -278,7 +277,6 @@ def analyze_frame(
     cur: np.ndarray,
     prev: np.ndarray,
     cfg: SearchConfig | None = None,
-    frame_index: int = 1,
 ) -> FrameFirstPassStats:
     """Aggregate block statistics for one frame against its predecessor.
 
@@ -302,7 +300,6 @@ def analyze_frame(
     inter_count = int(inter.sum())
     zero_inter = int((inter & ~mv.any(axis=2)).sum())
     return FrameFirstPassStats(
-        frame_index=frame_index,
         pcnt_zero_motion=zero_inter / inter_count if inter_count else 0.0,
         frame_sse=int(best.sum()),
         zero_mv_sse_stdev=float(np.std(zero.ravel().astype(np.float64))),

@@ -30,7 +30,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .first_pass import FrameFirstPassStats, SearchConfig, analyze_frame
+from .first_pass import SearchConfig, analyze_frame
 from .parallel import cpus, ordered_map
 from .stillness import (
     METRIC_NAMES,
@@ -386,8 +386,8 @@ def plan_sequence(
     pixels = first.size
     count = 1
 
-    def pairs(prev: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-        """(frame d, frame d - 1, d) for every frame d that a group owns."""
+    def pairs(prev: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(frame d, frame d - 1) for every frame d that a group owns."""
         nonlocal count
         held = None
         for cur in frames:
@@ -402,29 +402,23 @@ def plan_sequence(
             # which owns no pair, unless it is the last frame
             held = None
             if key_interval is not None and d % key_interval == 0:
-                held = (cur, prev, d)
+                held = (cur, prev)
             else:
-                yield cur, prev, d
+                yield cur, prev
             prev = cur
         if held is not None:
             yield held
-
-    def first_pass(pair: tuple[np.ndarray, np.ndarray, int]) -> FrameFirstPassStats:
-        cur, prev, d = pair
-        return analyze_frame(cur, prev, cfg, frame_index=d)
 
     workers = cpus() if pixels >= POOL_MIN_PIXELS else 1
     stream = pairs(first)
     del first  # frame 0 is dropped once its pair is done
     # every pair finishes before any group is scored, so the scoring never
     # runs beside a worker
-    stats = iter(ordered_map(first_pass, stream, workers))
+    stats = iter(ordered_map(lambda pair: analyze_frame(*pair, cfg), stream, workers))
     results = []
     groups = segment_groups(count, target_interval, key_interval)
     for gid, (start, interval) in enumerate(groups, start=1):
         group_stats = list(islice(stats, interval))
-        for s in group_stats:
-            s.frame_index -= start - 1  # display d is frame d - start + 1 of its group
         metrics = compute_group_metrics(group_stats, pixels)
         verdict = classify_stillness(metrics, thresholds)
         results.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -24,51 +25,45 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[
     under one lock, and stores its result at that index, so the output
     cannot depend on scheduling.  A thread drops its item before it takes
     the next, so the iterator can free what the finished items held.  The
-    calling thread takes a share rather than waiting: each new thread gets
-    its own malloc arena, which keeps its peak working set, so one thread
-    fewer holds less memory.  An error raised by `fn` or by the iterator
-    reaches the caller as the same object, and the other threads take no
-    more items.  One worker, or a sized collection of one item, runs inline
-    and does not load `concurrent.futures` (nor `logging` with it).
+    calling thread takes a share rather than waiting, so one worker starts
+    no thread: each new thread gets its own malloc arena, which keeps its
+    peak working set, so one thread fewer holds less memory.  The first
+    error raised by `fn` or by the iterator stops every thread taking items
+    and, once they have all finished, reaches the caller as the same object.
     """
     if hasattr(items, "__len__"):
         workers = min(workers, len(items))
-    results: list = []
-    if workers <= 1:
-        for item in items:
-            results.append(fn(item))
-            del item
-        return results
-
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
     items = iter(items)
     done = object()
     lock = threading.Lock()
+    results: list = []
+    errors: list[BaseException] = []
 
     def drain() -> None:
         nonlocal items
-        # not enumerate(): it keeps its last (index, item) tuple, and with it
-        # the item, until it has taken the next one
-        while True:
-            with lock:  # a generator raises if two threads resume it at once
-                item = next(items, done)
-                if item is done:
-                    return
-                i = len(results)
-                results.append(None)
-            try:
+        try:
+            # not enumerate(): it keeps its last (index, item) tuple, and
+            # with it the item, until it has taken the next one
+            while True:
+                with lock:  # a generator raises if two threads resume it at once
+                    item = next(items, done)
+                    if item is done:
+                        return
+                    i = len(results)
+                    results.append(None)
                 results[i] = fn(item)
-            except BaseException:
-                with lock:  # the other threads take no more items
-                    items = iter(())
-                raise
-            del item
+                del item
+        except BaseException as exc:
+            with lock:  # the other threads take no more items
+                items = iter(())
+                errors.append(exc)
 
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
+    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return results

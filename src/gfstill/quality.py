@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import zip_longest
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -179,28 +180,37 @@ def bd_rate(
 
 
 def sequence_quality(
-    ref: Sequence[np.ndarray], dist: Sequence[np.ndarray]
+    ref: Iterable[np.ndarray], dist: Iterable[np.ndarray]
 ) -> tuple[list[float], list[float]]:
     """Per-frame PSNR in dB and SSIM, as two lists in frame order.
 
-    The SSIM pairs are scored on a thread per CPU this process may run on;
-    the result is the same on any number of CPUs.
+    `ref` and `dist` may be one-shot readers: they are read in step, one
+    pair at a time, and each pair is checked as it arrives and scored on a
+    thread per CPU this process may run on; the result is the same on any
+    number of CPUs.  Once one clip ends, the rest of the other is counted.
     """
-    if len(ref) != len(dist):
-        raise ValueError(f"frame counts differ: {len(ref)} vs {len(dist)}")
-    if not ref:
-        raise ValueError("empty sequences cannot be scored")
-    pairs = list(zip(ref, dist))
-    # every pair is checked here, so a bad frame is named by its index and
-    # never fails inside a worker
-    for i, (r, d) in enumerate(pairs):
-        try:
-            _check_pair(r, d, SSIM_WINDOW)
-        except ValueError as exc:
-            raise ValueError(f"frame {i}: {exc}") from None
-    psnr_values = [psnr(r, d) for r, d in pairs]
-    ssim_values = ordered_map(lambda pair: ssim(*pair), pairs, cpus())
-    return psnr_values, ssim_values
+
+    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        end = object()
+        n_ref = n_dist = 0
+        for r, d in zip_longest(ref, dist, fillvalue=end):
+            n_ref += r is not end
+            n_dist += d is not end
+            if r is end or d is end:
+                continue
+            # a bad frame is named by its index and never fails inside a job
+            try:
+                _check_pair(r, d, SSIM_WINDOW)
+            except ValueError as exc:
+                raise ValueError(f"frame {n_ref - 1}: {exc}") from None
+            yield r, d
+        if n_ref != n_dist:
+            raise ValueError(f"frame counts differ: {n_ref} vs {n_dist}")
+        if not n_ref:
+            raise ValueError("empty sequences cannot be scored")
+
+    scores = ordered_map(lambda pair: (psnr(*pair), ssim(*pair)), pairs(), cpus())
+    return [p for p, _ in scores], [s for _, s in scores]
 
 
 def _is_number(text: str) -> bool:

@@ -313,11 +313,6 @@ def yuv_frames(
         yield from _frames(stream, 0, width, height, frame_bytes, marker=False)
 
 
-def load_yuv(source: Source, width: int, height: int, chroma: str = "420") -> VideoSequence:
-    """Read headerless planar YUV given externally supplied geometry."""
-    return VideoSequence(map(FramePlane, yuv_frames(source, width, height, chroma)))
-
-
 def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:
     """Serialize luma as 8-bit 4:2:0 Y4M with neutral (128) chroma.
 

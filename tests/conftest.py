@@ -184,7 +184,7 @@ def batch_pipeline(
     groups = segment_groups(len(frames), target_interval, key_interval)
     for gid, (start, interval) in enumerate(groups, start=1):
         stats = [
-            analyze_frame(frames[d], frames[d - 1], cfg, frame_index=d - start + 1)
+            analyze_frame(frames[d], frames[d - 1], cfg)
             for d in range(start, start + interval)
         ]
         metrics = compute_group_metrics(stats, frames[0].size)

@@ -234,10 +234,10 @@ def test_c8_bdrate_output_is_pinned(tmp_path, capsys):
 def test_c9_group_metrics_match_hand_computation():
     pixels = 25344  # 176 x 144
     stats = [
-        _stats(1, 0.90, 3 * pixels, 100.0),
-        _stats(2, 0.95, 5 * pixels, 200.0),
-        _stats(3, 0.92, 7 * pixels, 300.0),
-        _stats(4, 0.88, 1 * pixels, 400.0),
+        _stats(0.90, 3 * pixels, 100.0),
+        _stats(0.95, 5 * pixels, 200.0),
+        _stats(0.92, 7 * pixels, 300.0),
+        _stats(0.88, 1 * pixels, 400.0),
     ]
     m = compute_group_metrics(stats, pixels)
     assert m.zero_motion_accumulator == 0.88  # MIN, exact

@@ -520,6 +520,30 @@ class TestOutputFile:
         assert not (tmp_path / "same.csv").exists()
 
 
+    def test_dash_histogram_is_stdout(
+        self, static_clip, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", static_clip, "-o", "a.csv", "--histogram", "hist.csv"]
+        assert run(*argv) == 0
+        capsys.readouterr()
+        assert run("analyze", static_clip, "-o", "b.csv", "--histogram", "-") == 0
+        assert capsys.readouterr().out == (tmp_path / "hist.csv").read_text()
+        assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("output", [[], ["-o", "-"]], ids=["no-o", "dash-o"])
+    def test_dash_histogram_with_the_csv_on_stdout_is_usage_error(
+        self, output, tmp_path, monkeypatch, capsys
+    ):
+        # a missing input shows that the check comes before the input is read
+        monkeypatch.chdir(tmp_path)
+        assert run("analyze", "missing.y4m", *output, "--histogram", "-") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gfstill: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "-").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "plan", "quality"])
     def test_dash_output_is_stdout(
         self, command, static_clip, pan_clip, tmp_path, monkeypatch, capsys

@@ -390,8 +390,7 @@ class TestPadding:
 class TestFrameStats:
     def test_identical_frames(self):
         plane = _textured()
-        stats = analyze_frame(plane, plane, frame_index=3)
-        assert stats.frame_index == 3
+        stats = analyze_frame(plane, plane)
         assert stats.pcnt_zero_motion == 1.0
         assert stats.frame_sse == 0
         assert stats.zero_mv_sse_stdev == 0.0

@@ -473,10 +473,10 @@ class TestFirstPassPool:
         # keyframes at 0 and 2: groups (1, 1) and (3, 2), so pair 2 is skipped
         frames = [f.samples for f in large_clip.frames]
         want = [
-            [analyze_frame(frames[1], frames[0], cfg, frame_index=1)],
+            [analyze_frame(frames[1], frames[0], cfg)],
             [
-                analyze_frame(frames[3], frames[2], cfg, frame_index=1),
-                analyze_frame(frames[4], frames[3], cfg, frame_index=2),
+                analyze_frame(frames[3], frames[2], cfg),
+                analyze_frame(frames[4], frames[3], cfg),
             ],
         ]
         assert len({s.frame_sse for group in want for s in group}) == 3
@@ -494,10 +494,10 @@ class TestFirstPassPool:
     def test_worker_error_reaches_the_caller(self, large_clip, monkeypatch):
         raised = ValueError("frame 3 is unreadable")
 
-        def analyze(cur, prev, cfg, frame_index):
+        def analyze(cur, prev, cfg):
             if cur is large_clip.frames[3].samples:
                 raise raised
-            return analyze_frame(cur, prev, cfg, frame_index=frame_index)
+            return analyze_frame(cur, prev, cfg)
 
         monkeypatch.setattr(gop_planner, "analyze_frame", analyze)
         cfg = SearchConfig(search_kind="diamond")

@@ -12,6 +12,16 @@ import gfstill
 from gfstill.parallel import ordered_map
 
 
+def _env() -> dict[str, str]:
+    """This environment, with the package under test first on the path."""
+    env = dict(os.environ)
+    package_root = str(Path(gfstill.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_results_keep_item_order_whatever_finishes_first():
     # early items take longest, so the threads finish them last
     def slow_first(i):
@@ -105,6 +115,32 @@ def test_a_worker_error_stops_the_others_taking_items():
     assert len(taken) < 100
 
 
+def test_a_helper_error_reaches_the_caller_and_prints_nothing():
+    # with helpers, only they fail, so the error crosses from a helper
+    # thread; an error a thread let escape would be printed on stderr
+    code = (
+        "import threading, time\n"
+        "from gfstill.parallel import ordered_map\n"
+        "raised = ValueError('frame 3 is unreadable')\n"
+        "caller = threading.current_thread()\n"
+        "for workers in (1, 2, 4):\n"
+        "    def fail_off_the_caller(i):\n"
+        "        if workers == 1 or threading.current_thread() is not caller:\n"
+        "            raise raised\n"
+        "        time.sleep(0.001)\n"
+        "    try:\n"
+        "        ordered_map(fail_off_the_caller, (i for i in range(1000)), workers)\n"
+        "    except ValueError as exc:\n"
+        "        assert exc is raised\n"
+        "    else:\n"
+        "        raise AssertionError('no error')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_one_worker_runs_inline_without_the_pool_module():
     code = (
         "import sys\n"
@@ -112,13 +148,9 @@ def test_one_worker_runs_inline_without_the_pool_module():
         "from gfstill.parallel import ordered_map\n"
         "assert ordered_map(abs, [-1, -2], 1) == [1, 2]\n"
         "assert ordered_map(abs, [-3], 4) == [3]\n"
+        "assert ordered_map(abs, (i for i in range(-5, 0)), 4) == [5, 4, 3, 2, 1]\n"
         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
     )
-    env = dict(os.environ)
-    package_root = str(Path(gfstill.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"

@@ -20,9 +20,8 @@ from gfstill.stillness import (
 )
 
 
-def _stats(index, pcnt, frame_sse, stdev, blocks=12):
+def _stats(pcnt, frame_sse, stdev, blocks=12):
     return FrameFirstPassStats(
-        frame_index=index,
         pcnt_zero_motion=pcnt,
         frame_sse=frame_sse,
         zero_mv_sse_stdev=stdev,
@@ -46,10 +45,10 @@ class TestComputeGroupMetrics:
         # MEAN(100, 200, 300, 400) = 250, all representable exactly
         pixels = 25344
         stats = [
-            _stats(1, 0.90, 3 * pixels, 100.0),
-            _stats(2, 0.95, 5 * pixels, 200.0),
-            _stats(3, 0.92, 7 * pixels, 300.0),
-            _stats(4, 0.88, 1 * pixels, 400.0),
+            _stats(0.90, 3 * pixels, 100.0),
+            _stats(0.95, 5 * pixels, 200.0),
+            _stats(0.92, 7 * pixels, 300.0),
+            _stats(0.88, 1 * pixels, 400.0),
         ]
         m = compute_group_metrics(stats, pixels)
         assert m.interval == 4
@@ -59,23 +58,23 @@ class TestComputeGroupMetrics:
 
     def test_average_pixel_error_normalises_by_pixels(self):
         pixels = 25344  # 176 x 144
-        stats = [_stats(1, 1.0, 101376, 0.0), _stats(2, 1.0, 152064, 0.0)]
+        stats = [_stats(1.0, 101376, 0.0), _stats(1.0, 152064, 0.0)]
         m = compute_group_metrics(stats, pixels)
         assert m.avg_pixel_error == 5.0
 
     def test_accumulator_takes_the_minimum(self):
-        stats = [_stats(1, 0.80, 0, 0.0), _stats(2, 0.95, 0, 0.0)]
+        stats = [_stats(0.80, 0, 0.0), _stats(0.95, 0, 0.0)]
         assert compute_group_metrics(stats, 100).zero_motion_accumulator == 0.80
 
     def test_single_busy_frame_disqualifies(self):
-        stats = [_stats(i, 1.0, 0, 0.0) for i in range(1, 16)]
-        stats.append(_stats(16, 0.0, 0, 0.0))
+        stats = [_stats(1.0, 0, 0.0) for _ in range(15)]
+        stats.append(_stats(0.0, 0, 0.0))
         m = compute_group_metrics(stats, 100)
         assert m.zero_motion_accumulator == 0.0
         assert classify_stillness(m) == "non-still"
 
     def test_identity_group(self):
-        stats = [_stats(i, 1.0, 0, 0.0) for i in range(1, 17)]
+        stats = [_stats(1.0, 0, 0.0) for _ in range(16)]
         m = compute_group_metrics(stats, 2048)
         assert (m.zero_motion_accumulator, m.avg_pixel_error, m.avg_error_stdev) == (
             1.0,
@@ -89,7 +88,7 @@ class TestComputeGroupMetrics:
 
     def test_bad_pixel_count_rejected(self):
         with pytest.raises(ValueError):
-            compute_group_metrics([_stats(1, 1.0, 0, 0.0)], 0)
+            compute_group_metrics([_stats(1.0, 0, 0.0)], 0)
 
     @given(
         values=st.lists(
@@ -105,7 +104,7 @@ class TestComputeGroupMetrics:
     )
     @settings(max_examples=60, deadline=None)
     def test_order_invariance_is_exact(self, values, seed):
-        stats = [_stats(i + 1, p, f, s) for i, (p, f, s) in enumerate(values)]
+        stats = [_stats(p, f, s) for p, f, s in values]
         shuffled = stats[:]
         random.Random(seed).shuffle(shuffled)
         a = compute_group_metrics(stats, 4096)

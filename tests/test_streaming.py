@@ -1,10 +1,12 @@
-"""The streamed pipeline: frames go from the reader through the first pass
-one at a time, and the output equals a batch run over the whole clip."""
+"""The streamed pipeline: frames go from the reader through the first pass,
+or two clips in step through PSNR and SSIM, one at a time, and the output
+equals a batch run over the whole clip."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -25,8 +27,9 @@ from gfstill.gop_planner import (
     plan_sequence,
     plans_to_json,
 )
+from gfstill.quality import psnr, sequence_quality, ssim
 from gfstill.synth import SynthSpec, generate
-from gfstill.video_io import write_y4m
+from gfstill.video_io import FramePlane, VideoSequence, write_y4m
 
 from conftest import batch_pipeline
 
@@ -146,3 +149,79 @@ def test_plan_sequence_holds_a_few_frames_at_once(cpus, key_interval, limit):
 def test_plan_sequence_checks_each_frame(frames, message):
     with pytest.raises(ValueError, match=message):
         plan_sequence(iter(frames))
+
+
+def _y4m(frames: list[np.ndarray]) -> bytes:
+    out = io.BytesIO()
+    write_y4m(VideoSequence([FramePlane(f) for f in frames]), out)
+    return out.getvalue()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kinds=st.sampled_from([("static", "static_noise"), ("pan", "cut"), ("cut", "cut")]),
+    frames=st.integers(1, 12),
+    width=st.integers(16, 72),
+    height=st.integers(16, 56),
+    cpus=st.sampled_from([1, 2]),
+)
+def test_streamed_quality_equals_the_per_pair_reference(
+    kinds, frames, width, height, cpus
+):
+    # synth makes at least two frames; a clip of one is cut from them
+    specs = [SynthSpec(k, width, height, max(frames, 2), 3.0, seed=i) for i, k in
+             enumerate(kinds)]
+    ref, dist = ([f.samples for f in generate(s).frames[:frames]] for s in specs)
+    scores = [(psnr(r, d), ssim(r, d)) for r, d in zip(ref, dist)]
+    rows = [f"{i},{p:.6f},{s:.8f}" for i, (p, s) in enumerate(scores)]
+    mean_psnr = math.fsum(p for p, _ in scores) / frames
+    mean_ssim = math.fsum(s for _, s in scores) / frames
+    mean = f"mean,{mean_psnr:.6f},{mean_ssim:.8f}"
+    want = "\n".join(["frame,psnr_db,ssim", *rows, mean, ""])
+
+    clips = [_y4m(ref), _y4m(dist)]
+    with tempfile.TemporaryDirectory() as tmp, _cpus(cpus):
+        paths = [str(Path(tmp, name)) for name in ("ref.y4m", "dist.y4m")]
+        for path, data in zip(paths, clips):
+            Path(path).write_bytes(data)
+        assert _run(["quality", *paths]) == want
+        assert _run(["quality", "-", paths[1]], stdin=clips[0]) == want
+        assert _run(["quality", paths[0], "-"], stdin=clips[1]) == want
+
+
+@pytest.mark.parametrize(
+    "counts", [(3, 5), (5, 3)], ids=["distorted-longer", "reference-longer"]
+)
+def test_quality_counts_the_rest_of_the_longer_clip(counts, tmp_path, capsys):
+    paths = []
+    for name, frames in zip(("ref.y4m", "dist.y4m"), counts):
+        paths.append(str(tmp_path / name))
+        write_y4m(generate(SynthSpec("static", 32, 32, frames)), paths[-1])
+    assert main(["quality", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gfstill: frame counts differ: %d vs %d\n" % counts
+
+
+@pytest.mark.parametrize("length", [8, 40])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sequence_quality_holds_a_few_frames_at_once(cpus, length):
+    specs = [SynthSpec("static_noise", 48, 32, length, 3.0, seed) for seed in (0, 1)]
+    ref, dist = ([f.samples for f in generate(s).frames] for s in specs)
+    refs: list[weakref.ref] = []
+    peak = 0
+
+    def frames(clip):
+        nonlocal peak
+        for f in clip:
+            frame = f.copy()
+            refs.append(weakref.ref(frame))
+            peak = max(peak, sum(r() is not None for r in refs))
+            yield frame
+            del frame
+
+    with _cpus(cpus):
+        streamed = sequence_quality(frames(ref), frames(dist))
+    assert len(refs) == 2 * length
+    assert 2 <= peak <= 2 * cpus + 3
+    assert streamed == sequence_quality(ref, dist)

@@ -11,7 +11,6 @@ from gfstill.video_io import (
     VideoSequence,
     Y4mError,
     load_y4m,
-    load_yuv,
     write_y4m,
     y4m_frames,
     yuv_frames,
@@ -265,28 +264,28 @@ class TestRawYuv:
     def test_basic_420(self):
         frames = _frames(2)
         blob = b"".join(f.tobytes() + bytes(32 * 24) * 2 for f in frames)
-        seq = load_yuv(blob, 64, 48)
-        assert len(seq.frames) == 2
-        assert np.array_equal(seq.frames[0].samples, frames[0])
+        planes = list(yuv_frames(blob, 64, 48))
+        assert len(planes) == 2
+        assert np.array_equal(planes[0], frames[0])
 
     def test_basic_444(self):
         frames = _frames(1)
         blob = frames[0].tobytes() + bytes(64 * 48) * 2
-        seq = load_yuv(blob, 64, 48, chroma="444")
-        assert np.array_equal(seq.frames[0].samples, frames[0])
+        (plane,) = yuv_frames(blob, 64, 48, chroma="444")
+        assert np.array_equal(plane, frames[0])
 
     def test_truncated(self):
         blob = _frames(1)[0].tobytes()  # luma only, chroma missing
         with pytest.raises(Y4mError):
-            load_yuv(blob, 64, 48)
+            list(yuv_frames(blob, 64, 48))
 
     def test_empty(self):
         with pytest.raises(Y4mError):
-            load_yuv(b"", 64, 48)
+            list(yuv_frames(b"", 64, 48))
 
     def test_unknown_chroma(self):
         with pytest.raises(ValueError):
-            load_yuv(b"\x00" * 100, 64, 48, chroma="422")
+            list(yuv_frames(b"\x00" * 100, 64, 48, chroma="422"))
 
 
 class TestTypes:
