@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
 
     p = sub.add_parser("synth", help="write a deterministic synthetic Y4M clip")
-    p.add_argument("output")
+    p.add_argument("output", help="- writes standard output")
     p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
     p.add_argument("--width", type=int, default=SynthSpec.width)
     p.add_argument("--height", type=int, default=SynthSpec.height)
@@ -147,21 +147,26 @@ def _input_frames(path: str, args) -> Iterator[np.ndarray]:
 
 
 @contextmanager
-def _output(path: str | None):
+def _output(path: str | None, mode: str):
+    """`path` opened for writing in `mode`; None and `-` are standard output."""
     if path is None or path == "-":
-        yield sys.stdout
+        yield sys.stdout.buffer if "b" in mode else sys.stdout
     else:
-        with open(path, "w", newline="") as out:
+        with open(path, mode, newline=None if "b" in mode else "") as out:
             yield out
 
 
-def _is_stdout_file(path: str) -> bool:
-    """True when `path` is the regular file that standard output writes to."""
+def _same_file(a: str | None, b: str | None) -> bool:
+    """True when outputs `a` and `b` (None or `-` is standard output) write one
+    file: one resolved path, or one existing regular file (a pipe is none)."""
+    a, b = (None if p == "-" else p for p in (a, b))
+    if a == b or (None not in (a, b) and os.path.realpath(a) == os.path.realpath(b)):
+        return True
     try:
-        out = os.fstat(1)
-        return stat.S_ISREG(out.st_mode) and os.path.samestat(out, os.stat(path))
+        stats = [os.fstat(1) if p is None else os.stat(p) for p in (a, b)]
     except OSError:
         return False
+    return all(stat.S_ISREG(s.st_mode) for s in stats) and os.path.samestat(*stats)
 
 
 def _analysed_groups(args) -> list[GroupPlanResult]:
@@ -205,20 +210,13 @@ def _summarise(results: list[GroupPlanResult]) -> str:
 def cmd_analyze(args) -> int:
     if args.hist_bins < 1:
         raise UsageError("--hist-bins must be >= 1")
-    if args.histogram:
-        if args.output in (None, "-"):
-            # a pipe keeps both outputs apart; a file opened twice does not,
-            # and `-` is the standard output the metrics go to
-            if args.histogram == "-" or _is_stdout_file(args.histogram):
-                raise UsageError("--histogram names the standard output the CSV goes to")
-        elif args.histogram != "-" and (
-            os.path.realpath(args.histogram) == os.path.realpath(args.output)
-        ):
-            raise UsageError("--histogram and --output name the same file")
+    # checked before the input is read, so a clash writes nothing
+    if args.histogram and _same_file(args.histogram, args.output):
+        raise UsageError("--histogram names the file the CSV goes to")
     results = _analysed_groups(args)
     # the sidecar opens first, so a bad path fails before any output is written
-    hist = _output(args.histogram) if args.histogram else nullcontext()
-    with hist as hist_out, _output(args.output) as out:
+    hist = _output(args.histogram, "w") if args.histogram else nullcontext()
+    with hist as hist_out, _output(args.output, "w") as out:
         dump_group_metrics(results, out)
         if args.histogram:
             dump_metric_histograms(
@@ -237,7 +235,7 @@ def cmd_plan(args) -> int:
             raise PlanValidationError(
                 f"group {r.group_id} produced an invalid plan: {details}"
             )
-    with _output(args.output) as out:
+    with _output(args.output, "w") as out:
         json.dump(plans_to_json(results), out, indent=2)
         out.write("\n")
     print(_summarise(results), file=sys.stderr)
@@ -252,7 +250,7 @@ def cmd_quality(args) -> int:
     )
     mean_psnr_db = math.fsum(psnr_db) / len(psnr_db)
     mean_ssim = math.fsum(ssim) / len(ssim)
-    with _output(args.output) as out:
+    with _output(args.output, "w") as out:
         out.write("frame,psnr_db,ssim\n")
         for i, (p, s) in enumerate(zip(psnr_db, ssim)):
             out.write(f"{i},{p:.6f},{s:.8f}\n")
@@ -289,7 +287,8 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sequence = generate(spec)
-    written = write_y4m(sequence, args.output)
+    with _output(args.output, "wb") as out:
+        written = write_y4m(sequence, out)
     print(
         f"wrote {args.frames} frame(s) ({written} bytes) to {args.output}",
         file=sys.stderr,

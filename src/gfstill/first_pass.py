@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .video_io import _integer, check_luma
+from .video_io import _integer, check_pair
 
 BLOCK_SIZES = (8, 16, 32)
 SEARCH_KINDS = ("exhaustive", "diamond")
@@ -94,14 +94,8 @@ def motion_search(
     (rows, cols, 2), (rows, cols) and (rows, cols); mv[..., 0] is dx and
     mv[..., 1] is dy.
     """
-    check_luma(cur)
-    check_luma(ref)
     # compared before padding, which can bring two sizes to one grid
-    if cur.shape != ref.shape:
-        raise ValueError(
-            f"current is {cur.shape[1]}x{cur.shape[0]}, "
-            f"reference is {ref.shape[1]}x{ref.shape[0]}"
-        )
+    check_pair(cur, ref, ("current", "reference"), 1)
     cfg = cfg or SearchConfig()
     bs, r = cfg.block_size, cfg.search_range
     # C order keeps the reshapes below views and each gathered row contiguous

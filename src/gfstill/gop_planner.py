@@ -41,7 +41,7 @@ from .stillness import (
     classify_stillness,
     compute_group_metrics,
 )
-from .video_io import FramePlane, VideoSequence, _integer, check_luma
+from .video_io import _integer, checked_frames
 
 MIN_GROUP_INTERVAL = 4
 MAX_GROUP_INTERVAL = 16
@@ -355,7 +355,7 @@ def validate_plan(
 
 
 def plan_sequence(
-    frames: Iterable[np.ndarray] | VideoSequence,
+    frames: Iterable[np.ndarray],
     cfg: SearchConfig | None = None,
     thresholds: StillnessThresholds | None = None,
     target_interval: int = MAX_GROUP_INTERVAL,
@@ -376,13 +376,10 @@ def plan_sequence(
     """
     cfg = cfg or SearchConfig()
     target_interval, key_interval = check_intervals(target_interval, key_interval)
-    if isinstance(frames, VideoSequence):
-        frames = [f.samples for f in frames.frames]
-    frames = iter(frames)
+    frames = checked_frames(frames)
     first = next(frames, None)
     if first is None:
         raise ValueError("need at least two frames to form a group")
-    shape = FramePlane(first).samples.shape
     pixels = first.size
     count = 1
 
@@ -391,12 +388,6 @@ def plan_sequence(
         nonlocal count
         held = None
         for cur in frames:
-            check_luma(cur)
-            if cur.shape != shape:
-                raise ValueError(
-                    f"frame {count} is {cur.shape[1]}x{cur.shape[0]}, "
-                    f"expected {shape[1]}x{shape[0]}"
-                )
             d, count = count, count + 1
             # segment_groups makes every key_interval-th frame a keyframe,
             # which owns no pair, unless it is the last frame

@@ -65,5 +65,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[
     for helper in helpers:
         helper.join()
     if errors:
-        raise errors[0]
+        # popped, or the list would tie it into a cycle with its traceback and
+        # leave what the failed items held (an open file) to the collector
+        raise errors.pop(0)
     return results

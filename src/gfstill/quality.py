@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .parallel import cpus, ordered_map
-from .video_io import _opened, check_luma
+from .video_io import _opened, check_pair
 
 PEAK = 255.0
 PSNR_CAP_DB = 100.0
@@ -56,22 +56,12 @@ SSIM_STRIP_ROWS = 96
 
 BD_FIT_DEGREE = 3
 
-
-def _check_pair(a: np.ndarray, b: np.ndarray, minimum: int) -> None:
-    check_luma(a)
-    check_luma(b)
-    if a.shape != b.shape:
-        raise ValueError(
-            f"reference is {a.shape[1]}x{a.shape[0]}, "
-            f"distorted is {b.shape[1]}x{b.shape[0]}"
-        )
-    if min(a.shape) < minimum:
-        raise ValueError(f"frames must be at least {minimum}x{minimum}")
+_PAIR = ("reference", "distorted")
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; identical frames return the cap."""
-    _check_pair(a, b, 1)
+    check_pair(a, b, _PAIR, 1)
     diff = a.astype(np.int64) - b.astype(np.int64)
     sse = int(np.einsum("ij,ij->", diff, diff))
     if sse == 0:
@@ -105,7 +95,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     computed in strips of SSIM_STRIP_ROWS window rows, each from its own
     rows of the frames, so the float temporaries stay a strip in size.
     """
-    _check_pair(a, b, SSIM_WINDOW)
+    check_pair(a, b, _PAIR, SSIM_WINDOW)
     c1 = (SSIM_K1 * PEAK) ** 2
     c2 = (SSIM_K2 * PEAK) ** 2
     height, width = a.shape
@@ -200,7 +190,7 @@ def sequence_quality(
                 continue
             # a bad frame is named by its index and never fails inside a job
             try:
-                _check_pair(r, d, SSIM_WINDOW)
+                check_pair(r, d, _PAIR, SSIM_WINDOW)
             except ValueError as exc:
                 raise ValueError(f"frame {n_ref - 1}: {exc}") from None
             yield r, d

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .video_io import MIN_DIMENSION, FramePlane, VideoSequence, _integer
+from .video_io import MIN_DIMENSION, FramePlane, VideoSequence, _integer, check_size
 
 SYNTH_KINDS = ("static", "static_noise", "pan", "zoom", "cut")
 
@@ -38,8 +38,7 @@ class SynthSpec:
             raise ValueError(f"kind must be one of {SYNTH_KINDS}")
         for name in ("width", "height", "frame_count", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.width < MIN_DIMENSION or self.height < MIN_DIMENSION:
-            raise ValueError(f"frames must be at least {MIN_DIMENSION} px each way")
+        check_size(self.width, self.height, MIN_DIMENSION)
         if self.frame_count < 2:
             raise ValueError("frame_count must be >= 2")
         # written so that NaN fails: it compares False with anything

@@ -13,7 +13,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -58,16 +58,50 @@ class Y4mError(ValueError):
         self.offset = offset
 
 
-def check_luma(plane: np.ndarray) -> None:
-    """Raise ValueError unless `plane` is a 2-D uint8 array.  Nothing is
-    cast: a cast would wrap out-of-range values into plausible samples."""
-    if isinstance(plane, np.ndarray):
-        if plane.dtype == np.uint8 and plane.ndim == 2:
-            return
+def check_size(w: int, h: int, minimum: int) -> None:
+    """Raise ValueError unless a w x h frame is at least `minimum` each way."""
+    if min(w, h) < minimum:
+        raise ValueError(f"frame must be at least {minimum}x{minimum}, got {w}x{h}")
+
+
+def check_luma(plane: np.ndarray, minimum: int) -> None:
+    """Raise ValueError unless `plane` is a 2-D uint8 array that check_size
+    accepts.  Nothing is cast: a cast would wrap out-of-range values into
+    plausible samples."""
+    if not isinstance(plane, np.ndarray):
+        got = type(plane).__name__
+    elif plane.dtype != np.uint8 or plane.ndim != 2:
         got = f"a {plane.ndim}-D {plane.dtype} array"
     else:
-        got = type(plane).__name__
+        return check_size(plane.shape[1], plane.shape[0], minimum)
     raise ValueError(f"a frame must be a 2-D uint8 array, got {got}")
+
+
+def check_pair(
+    a: np.ndarray, b: np.ndarray, names: tuple[str, str], minimum: int
+) -> None:
+    """Raise ValueError unless `a` and `b` are planes of one size that
+    check_luma accepts; `names` name the two in the message."""
+    check_luma(a, minimum)
+    check_luma(b, minimum)
+    if a.shape != b.shape:
+        raise ValueError(
+            f"{names[0]} is {a.shape[1]}x{a.shape[0]}, "
+            f"{names[1]} is {b.shape[1]}x{b.shape[0]}"
+        )
+
+
+def checked_frames(frames: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Yield each of `frames` once check_luma accepts it, the first at
+    MIN_DIMENSION and each later one at the first's size, named by its index."""
+    shape = None
+    for i, frame in enumerate(frames):
+        check_luma(frame, 0 if shape else MIN_DIMENSION)
+        shape = shape or frame.shape
+        if frame.shape != shape:
+            (h, w), (fh, fw) = shape, frame.shape
+            raise ValueError(f"frame {i} is {fw}x{fh}, expected {w}x{h}")
+        yield frame
 
 
 def _integer(name: str, value) -> int:
@@ -85,13 +119,7 @@ class FramePlane:
     samples: np.ndarray
 
     def __post_init__(self):
-        check_luma(self.samples)
-        h, w = self.samples.shape
-        if w < MIN_DIMENSION or h < MIN_DIMENSION:
-            raise ValueError(
-                f"frame must be at least {MIN_DIMENSION}x{MIN_DIMENSION}, "
-                f"got {w}x{h}"
-            )
+        check_luma(self.samples, MIN_DIMENSION)
 
 
 @dataclass(frozen=True)
@@ -106,17 +134,17 @@ class VideoSequence:
         object.__setattr__(self, "frames", tuple(self.frames))
         if not self.frames:
             raise ValueError("a video sequence needs at least one frame")
-        h, w = self.frames[0].samples.shape
-        for i, f in enumerate(self.frames):
-            fh, fw = f.samples.shape
-            if (fh, fw) != (h, w):
-                raise ValueError(f"frame {i} is {fw}x{fh}, expected {w}x{h}")
+        for _ in checked_frames(self):
+            pass
         # ints, so that write_y4m writes a header load_y4m reads
         rate = tuple(_integer("frame rate term", t) for t in self.frame_rate)
         object.__setattr__(self, "frame_rate", rate)
         num, den = rate
         if num <= 0 or den <= 0:
             raise ValueError("frame rate must be a positive rational")
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return (f.samples for f in self.frames)
 
     @property
     def width(self) -> int:
@@ -303,11 +331,7 @@ def yuv_frames(
     one at a time, each read from the stream as it is asked for."""
     if chroma not in RAW_CHROMA:
         raise ValueError(f"unsupported raw chroma format {chroma!r}")
-    if width < MIN_DIMENSION or height < MIN_DIMENSION:
-        raise ValueError(
-            f"raw frames must be at least {MIN_DIMENSION}x{MIN_DIMENSION}, "
-            f"got {width}x{height}"
-        )
+    check_size(width, height, MIN_DIMENSION)
     frame_bytes = _frame_size(width, height, chroma)
     with _opened(source, "rb") as stream:
         yield from _frames(stream, 0, width, height, frame_bytes, marker=False)
@@ -324,8 +348,8 @@ def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:
     neutral = bytes([128]) * (_frame_size(w, h, "420") - w * h)
     with _opened(sink, "wb") as out:
         written = out.write(header)
-        for frame in sequence.frames:
+        for frame in sequence:
             written += out.write(b"FRAME\n")
-            written += out.write(frame.samples.tobytes())
+            written += out.write(frame.tobytes())
             written += out.write(neutral)
     return written

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's vectorised code paths:
 the motion-search oracles are a plain nested scan and a one-block diamond
-walk with no cache, the SSIM oracle walks
-windows one by one.  They define what the fast implementations must match.
+walk with no cache, plus an unpruned whole-frame scan fast enough for real
+frame sizes, and the SSIM oracle walks windows one by one.  They define what the fast implementations must match.
 The batch pipeline reference holds every frame at once and analyses each
 group's pairs in turn, the way the streamed `plan_sequence` must agree with.
 """
@@ -67,6 +67,47 @@ def brute_force_block_search(
                 zero_sse = sse
     assert best_key is not None and zero_sse is not None
     return (best_key[3], best_key[2]), best_key[0], zero_sse
+
+
+def reference_block_search(
+    cur: np.ndarray, ref: np.ndarray, block_size: int = 16, search_range: int = 8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exhaustive search of every block at once, with no pruning.
+
+    Same contract and return value as gfstill.first_pass.motion_search with
+    search_kind="exhaustive".  Both frames are edge-padded to the block grid
+    and widened to int64.  The vectors are taken in tie-break order, |dx|+|dy|
+    then dy then dx, each scoring every block whose window lies inside the
+    padded frame as one whole-grid table; a block moves only to a strictly
+    lower SSE, so the first vector to reach the least SSE keeps it.
+    """
+    bs, r = block_size, search_range
+    pad = ((0, -cur.shape[0] % bs), (0, -cur.shape[1] % bs))
+    cur, ref = (np.pad(f, pad, mode="edge").astype(np.int64) for f in (cur, ref))
+    h, w = cur.shape
+    rows, cols = h // bs, w // bs
+    vectors = sorted(
+        ((dx, dy) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
+        key=lambda v: (abs(v[0]) + abs(v[1]), v[1], v[0]),
+    )
+    best = np.full((rows, cols), np.iinfo(np.int64).max)
+    mv = np.zeros((rows, cols, 2), np.int64)
+    for dx, dy in vectors:
+        # the blocks whose window, dy rows down and dx across, is in the frame
+        y0, y1 = max(0, -(dy // bs)), min(rows, (h - bs - dy) // bs + 1)
+        x0, x1 = max(0, -(dx // bs)), min(cols, (w - bs - dx) // bs + 1)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        blocks = cur[y0 * bs : y1 * bs, x0 * bs : x1 * bs]
+        windows = ref[y0 * bs + dy : y1 * bs + dy, x0 * bs + dx : x1 * bs + dx]
+        diff = (blocks - windows).reshape(y1 - y0, bs, x1 - x0, bs)
+        sse = np.einsum("ijkl,ijkl->ik", diff, diff)
+        if dx == dy == 0:
+            zero = sse
+        lower = sse < best[y0:y1, x0:x1]
+        best[y0:y1, x0:x1][lower] = sse[lower]
+        mv[y0:y1, x0:x1][lower] = dx, dy
+    return mv, best, zero
 
 
 _LARGE_DIAMOND = ((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1))

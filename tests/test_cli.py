@@ -20,6 +20,20 @@ def run(*argv):
     return main(list(argv))
 
 
+# the command line as a child process, for what only real standard streams show
+CLI = [sys.executable, "-m", "gfstill.cli"]
+
+
+def child_env() -> dict[str, str]:
+    """This environment, with the package under test first on the path."""
+    env = dict(os.environ)
+    package_root = str(Path(gfstill.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 @pytest.fixture
 def static_clip(tmp_path):
     path = tmp_path / "static.y4m"
@@ -82,6 +96,34 @@ class TestSynthCommand:
     def test_unwritable_output_is_io_error(self, tmp_path):
         assert run("synth", str(tmp_path / "nodir" / "x.y4m"),
                    "--kind", "static") == 2
+
+    def test_dash_writes_standard_output(self, tmp_path):
+        # the clip goes down a real pipe into `plan -`, and no file named -
+        # is made
+        argv = ["--kind", "pan", "--width", "64", "--height", "48",
+                "--frames", "9", "--amplitude", "3"]
+        clip = tmp_path / "clip.y4m"
+        assert run("synth", str(clip), *argv) == 0
+        env = child_env()
+        by_path = subprocess.run(
+            [*CLI, "plan", str(clip)], env=env, capture_output=True, timeout=120
+        )
+        synth = subprocess.Popen(
+            [*CLI, "synth", "-", *argv], cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        piped = subprocess.run(
+            [*CLI, "plan", "-"], cwd=tmp_path, env=env, stdin=synth.stdout,
+            capture_output=True, timeout=120,
+        )
+        synth.stdout.close()
+        err = synth.stderr.read()
+        synth.stderr.close()
+        assert synth.wait(timeout=120) == 0, err
+        assert err.startswith(b"wrote 9 frame(s)") and err.count(b"\n") == 1
+        assert by_path.returncode == piped.returncode == 0, piped.stderr
+        assert by_path.stdout and piped.stdout == by_path.stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.y4m"]
 
 
 class TestAnalyzeCommand:
@@ -192,12 +234,8 @@ class TestAnalyzeCommand:
             chroma = bytes([128]) * (2 * (seq.width // 2) * (seq.height // 2))
             clip.write_bytes(b"".join(f.samples.tobytes() + chroma for f in seq.frames))
             flags = ["--width", str(seq.width), "--height", str(seq.height)]
-        env = dict(os.environ)
-        package_root = str(Path(gfstill.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        argv = [sys.executable, "-m", "gfstill.cli", "analyze"]
+        env = child_env()
+        argv = [*CLI, "analyze"]
         by_path = subprocess.run(
             [*argv, str(clip), *flags], env=env, capture_output=True, timeout=120
         )
@@ -589,6 +627,43 @@ class TestOutputFile:
             assert plain.stdout in piped.stdout
             assert len(piped.stdout) > len(plain.stdout)
 
+    @pytest.mark.parametrize("clip_exists", [True, False])
+    def test_dash_histogram_with_stdout_on_the_output_file_is_usage_error(
+        self, clip_exists, static_clip, tmp_path
+    ):
+        # `-o out.csv --histogram - > out.csv` names one file twice; a
+        # missing input shows that the check comes before the input is read
+        out = tmp_path / "out.csv"
+        clip = static_clip if clip_exists else str(tmp_path / "missing.y4m")
+        with open(out, "wb") as stdout:
+            done = subprocess.run(
+                [*CLI, "analyze", clip, "-o", str(out), "--histogram", "-"],
+                env=child_env(), stdout=stdout, stderr=subprocess.PIPE,
+                text=True, timeout=120,
+            )
+        assert done.returncode == 1
+        assert done.stderr.startswith("gfstill: ") and done.stderr.count("\n") == 1
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("clip_exists", [True, False])
+    def test_histogram_on_a_hard_link_to_the_output_is_usage_error(
+        self, clip_exists, static_clip, tmp_path, capsys
+    ):
+        # two names of one file: the histogram would replace the metrics
+        good, hard = tmp_path / "good.csv", tmp_path / "hard.csv"
+        good.write_text("kept\n")
+        try:
+            os.link(good, hard)
+        except OSError:
+            pytest.skip("no hard links here")
+        clip = static_clip if clip_exists else str(tmp_path / "missing.y4m")
+        argv = ["analyze", clip, "-o", str(good), "--histogram", str(hard)]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gfstill: ") and captured.err.count("\n") == 1
+        assert good.read_text() == "kept\n"
+
 
 class TestParsing:
     def test_no_arguments_is_usage_error(self, capsys):
@@ -644,11 +719,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("command", ["quality", "plan"])
     def test_command_never_imports_scipy(self, command, static_clip, pan_clip, tmp_path):
         inputs = [static_clip, pan_clip] if command == "quality" else [pan_clip]
-        env = dict(os.environ)
-        package_root = str(Path(gfstill.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
+        env = child_env()
         done = subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE, command, *inputs,
              "-o", str(tmp_path / "out")],

@@ -12,6 +12,7 @@ from conftest import (
     brute_force_block_search,
     brute_force_diamond_search,
     random_plane,
+    reference_block_search,
 )
 from gfstill import first_pass
 from gfstill.first_pass import (
@@ -213,6 +214,29 @@ class TestOracleProperty:
             window = ref_p[by * bs + dy :, bx * bs + dx :][:bs, :bs]
             assert best[by, bx] == ((block - window) ** 2).sum()
 
+    @given(
+        case=_frame_cases,
+        block_size=st.sampled_from((8, 16, 32)),
+        search_range=st.integers(1, 12),
+    )
+    @example(case=("binary", 24, 24, 2), block_size=8, search_range=2)
+    @settings(max_examples=15, deadline=None)
+    def test_reference_search_matches_the_brute_force_oracle(
+        self, case, block_size, search_range
+    ):
+        # the two oracles agree, so the full-frame cells below, which only
+        # the reference is fast enough for, check the same contract
+        content, height, width, seed = case
+        cur, ref = _frames(content, height, width, seed)
+        mv, best, zero = reference_block_search(cur, ref, block_size, search_range)
+        cur_p = pad_to_block_grid(cur, block_size)
+        ref_p = pad_to_block_grid(ref, block_size)
+        for by, bx in np.ndindex(best.shape):
+            want = brute_force_block_search(
+                cur_p, ref_p, by, bx, block_size, search_range
+            )
+            assert (tuple(mv[by, bx]), best[by, bx], zero[by, bx]) == want
+
     @given(case=_frame_cases, block_size=st.sampled_from((8, 16, 32)))
     @settings(max_examples=10, deadline=None)
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
@@ -309,6 +333,42 @@ _DIAMOND_CELLS = [
     ("extremes", 352, 288, 16, 32),
     ("pan 8", 100, 75, 16, 32),  # pads to 112x80
 ]
+
+
+# the exhaustive search on whole frames, where tiles meet at their real
+# size: every content at CIF, range 8, and at QCIF, range 32, where the
+# reference takes about 0.3 s a pair against 1.5 s at CIF; every block size
+# twice at each range.  At QCIF, block 8, range 32 a block row's vectors span
+# two tiles, so the tile's vector-row offset matters there
+_EXHAUSTIVE_CELLS = [
+    ("pan 4", 352, 288, 8, 8),
+    ("pan 8", 352, 288, 16, 8),
+    ("zoom 4", 352, 288, 32, 8),
+    ("static_noise 2", 352, 288, 8, 8),
+    ("random", 352, 288, 16, 8),
+    ("extremes", 352, 288, 32, 8),
+    ("pan 4", 176, 144, 16, 32),
+    ("pan 8", 176, 144, 8, 32),
+    ("zoom 4", 176, 144, 32, 32),
+    ("static_noise 2", 176, 144, 16, 32),
+    ("random", 176, 144, 8, 32),
+    ("extremes", 176, 144, 32, 32),
+    ("zoom 4", 100, 75, 16, 32),  # pads to 112x80
+]
+
+
+class TestFullFrame:
+    @pytest.mark.parametrize(
+        "content, width, height, block_size, search_range", _EXHAUSTIVE_CELLS
+    )
+    def test_exhaustive_matches_the_reference(
+        self, content, width, height, block_size, search_range
+    ):
+        cur, ref = _clip(content, width, height)
+        got = motion_search(cur, ref, SearchConfig(block_size, search_range))
+        want = reference_block_search(cur, ref, block_size, search_range)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestDiamond:

@@ -410,6 +410,13 @@ class TestPlanSequence:
         assert [r.verdict for r in results] == ["still", "non-still"]
         assert [r.plan.structure for r in results] == [SINGLE_LAYER, MULTILAYER]
 
+    def test_a_sequence_plans_as_the_list_of_its_arrays(self):
+        seq = generate(
+            SynthSpec("pan", width=64, height=48, frame_count=21, amplitude=2.0)
+        )
+        want = plans_to_json(plan_sequence(list(seq), key_interval=9))
+        assert plans_to_json(plan_sequence(seq, key_interval=9)) == want
+
     def test_json_round_trip_is_deterministic(self):
         seq = generate(SynthSpec("static", width=64, height=48, frame_count=20))
         a = json.dumps(plans_to_json(plan_sequence(seq)), indent=2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -90,6 +91,36 @@ def test_an_error_from_the_iterator_reaches_the_caller():
         with pytest.raises(ValueError) as info:
             ordered_map(abs, items(), workers)
         assert info.value is raised
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_error_holds_no_reference_cycle(workers):
+    # `quality` reads two clips; when one fails, the other's reader is still
+    # open.  The error's traceback holds that reader, so a cycle through it
+    # left the file for the garbage collector, which may finalize the file
+    # before the reader and warn that it was never closed
+    closed = []
+
+    def reader():
+        try:
+            yield from range(5)
+        finally:
+            closed.append(True)
+
+    def items():
+        other = reader()
+        yield next(other)
+        raise ValueError("truncated frame payload")
+
+    gc.disable()
+    try:
+        try:
+            ordered_map(abs, items(), workers)
+        except ValueError:
+            pass
+        assert closed == [True]
+    finally:
+        gc.enable()
 
 
 def test_a_worker_error_stops_the_others_taking_items():

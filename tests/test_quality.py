@@ -20,6 +20,7 @@ from gfstill.quality import (
     sequence_quality,
     ssim,
 )
+from gfstill.synth import SynthSpec, generate
 
 from conftest import NOT_LUMA, psnr_oracle, random_plane, ssim_oracle
 
@@ -288,6 +289,12 @@ class TestSequenceQuality:
         psnr_db, ssim_values = sequence_quality(ref, dist)
         assert psnr_db == [psnr(r, d) for r, d in zip(ref, dist)]
         assert ssim_values == [ssim(r, d) for r, d in zip(ref, dist)]
+
+    def test_a_sequence_against_itself_scores_the_caps(self):
+        # a VideoSequence iterates over its arrays, so it scores like a list
+        seq = generate(SynthSpec("pan", width=48, height=32, frame_count=5,
+                                 amplitude=2.0))
+        assert sequence_quality(seq, seq) == ([PSNR_CAP_DB] * 5, [1.0] * 5)
 
     def test_length_mismatch_rejected(self, rng):
         frames = [random_plane(rng, 32, 24)]

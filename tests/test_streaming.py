@@ -143,8 +143,12 @@ def test_plan_sequence_holds_a_few_frames_at_once(cpus, key_interval, limit):
             [np.zeros((16, 16), np.uint8)] * 2 + [np.zeros((16, 32), np.uint8)],
             "^frame 2 is 32x16, expected 16x16$",
         ),
+        (
+            [np.zeros((16, 16), np.uint8)] * 2 + [np.zeros((8, 16), np.uint8)],
+            "^frame 2 is 16x8, expected 16x16$",
+        ),
     ],
-    ids=["empty", "one-frame", "small", "int16", "mixed-sizes"],
+    ids=["empty", "one-frame", "small", "int16", "mixed-sizes", "small-later"],
 )
 def test_plan_sequence_checks_each_frame(frames, message):
     with pytest.raises(ValueError, match=message):

@@ -309,6 +309,14 @@ class TestTypes:
         samples = np.zeros((48, 64), np.uint8)
         assert FramePlane(samples).samples is samples
 
+    def test_sequence_iterates_over_its_arrays(self):
+        frames = [FramePlane(f) for f in _frames(3)]
+        seq = VideoSequence(frames)
+        got = list(seq)
+        assert len(got) == 3
+        assert all(g is f.samples for g, f in zip(got, frames))
+        assert list(seq) == got  # a container, not a one-shot reader
+
     def test_sequence_rejects_empty(self):
         with pytest.raises(ValueError):
             VideoSequence([])
