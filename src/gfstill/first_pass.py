@@ -10,6 +10,7 @@ frames yields a negative dx.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,30 @@ _SDSP = np.array(((0, -1), (1, 0), (0, 1), (-1, 0)))
 
 # (block, vector) pairs a tile of the exhaustive search bounds at once, about
 # 20 bytes each.  ms per call on one CPU (median of 5 runs; pan at 4, noise
-# is static_noise at 2) and block 16, range 8 tracemalloc peak, on a 2-CPU
-# x86-64 host with numpy 2.4:
+# is static_noise at 2) and analyze_frame's tracemalloc peak at block 16,
+# range 8 on static_noise, on a 2-CPU x86-64 host with numpy 2.4:
 #   tile    CIF b16 r8, r32   720p b16 r8, r32   720p noise b8   MiB CIF, 720p
-#   2**14       5.1  40.1         43.8  326            158          0.9   6.3
-#   2**15       3.9  34.2         35.0  262            147          1.4   6.3
-#   2**16       3.6  31.5         29.2  235            117          2.0   6.3
-#   2**17       3.6  30.7         28.6  247            110          2.8   7.7
+#   2**14       5.1  40.1         43.8  326            158          0.7   3.2
+#   2**15       3.9  34.2         35.0  262            147          1.1   3.4
+#   2**16       3.6  31.5         29.2  235            117          1.8   3.9
+#   2**17       3.6  30.7         28.6  247            110          3.0   5.4
 SEARCH_TILE = 2**16
+
+# Samples in a band of block rows, the unit in which each frame-sized
+# temporary is built.  analyze_frame ms per call on one CPU (median of 25
+# runs, band sizes interleaved), ms per pair with 2 threads over 8 pairs,
+# and tracemalloc peak, range 8, on the host above; CIF is pan at 4, 720p
+# static_noise at 2, block 16 unless noted:
+#   band    CIF exh  dia  dia b8   720p exh  dia  dia 2 threads   720p MiB exh, dia
+#   2**15      4.21 4.81  8.11       39.0  12.7      15.6           3.88  4.08
+#   2**16      4.09 4.73  8.07       36.3  11.5      11.5           3.88  4.08
+#   2**17      4.03 4.70  8.04       36.9  11.2      10.5           3.88  4.08
+#   2**18      4.00 4.68  8.11       36.7  11.1      10.2           3.88  4.08
+#   2**19      4.07 4.76  7.98       37.2  11.5      10.5           3.88  4.08
+#   frame      4.07 4.70  7.95       38.0  13.1      10.8           5.30  5.30
+# From 2**17 a CIF frame is one band at every block size.  At 720p the peak
+# is the diamond's first step or an exhaustive tile, whatever the band.
+BAND_SAMPLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -104,28 +121,32 @@ def motion_search(
     rows, cols = h // bs, w // bs
     # no window reaches further than the padded frame, whatever the range
     ry, rx = min(r, h - bs), min(r, w - bs)
-    # a difference of two samples fits int16; its square, at most 255**2 =
-    # 65025, wraps in int16, but its bits read as uint16 are exact
-    diff = np.subtract(cur_s, ref_s, dtype=np.int16)
-    diff *= diff
-    zero = _block_sums(diff.view(np.uint16), bs).astype(np.int64)
-    del diff  # a frame of int16, freed before the sum table is built
+    half, ky, kx = bs // 2, 2 * ry + 1, 2 * rx + 1
+    zero = np.empty((rows, cols), np.int64)
+    # sums[y, x] sums the half x half window at (y, x): at most 16 * 16 * 255,
+    # so uint16 holds it
+    sums = np.empty((h - half + 1, w - half + 1), np.uint16)
+    for b, p in _bands(h, w, bs):
+        # a difference of two samples fits int16; its square, at most 255**2
+        # = 65025, wraps in int16, but its bits read as uint16 are exact
+        diff = np.subtract(cur_s[p], ref_s[p], dtype=np.int16)
+        diff *= diff
+        zero[b] = _block_sums(diff.view(np.uint16), bs)
+        del diff  # before the window sums' temporaries are built
+        rows_in = ref_s[p.start : p.stop + half - 1]
+        sums[p] = _window_sums(rows_in.astype(np.uint16), half)
 
     # Successive elimination (Li & Salari, IEEE TIP 1995) over 2x2 sub-blocks
     # (Gao, Duanmu & Zou, IEEE TIP 2000): by Cauchy-Schwarz, the sum over the
     # four sub-blocks of (sum cur - sum ref)**2 is at most n * SSE, with n the
     # pixels in a sub-block.  Both searches bound their (block, vector) pairs
     # and score only those whose bound lets them beat the block's best.
-    half, ky, kx = bs // 2, 2 * ry + 1, 2 * rx + 1
     n = half * half
     cur_sub = _block_sums(cur_s, half).reshape(rows, 2, cols, 2).transpose(1, 3, 0, 2)
     # block by block, so that a gather copies whole blocks; uint8 gathers no
     # slower than int16 (faster at 720p) in half the memory
     cur_blocks = cur_s.reshape(rows, bs, cols, bs).swapaxes(1, 2).reshape(-1, bs, bs)
     windows = sliding_window_view(ref_s, (bs, bs))
-    # sums[y, x] sums the half x half window at (y, x): at most 16 * 16 * 255,
-    # so uint16 holds it
-    sums = _window_sums(ref_s.astype(np.uint16), half)
     # one int64 key per block, sse << shift | tie code, orders (sse, |dx|+|dy|,
     # dy, dx); the tie code holds (|dx|+|dy|, dy) and whether dx > 0
     shift = (2 * (ry + rx + 1) * ky).bit_length()
@@ -141,14 +162,18 @@ def motion_search(
         dy -= ry
         return np.where(key & 1, 1, -1) * (dist - abs(dy)), dy
 
-    def bound(window_sums: np.ndarray, block_sums: np.ndarray) -> np.ndarray:
-        """Sum over the sub-blocks (i, j) of (window_sums[i, j] -
-        block_sums[i, j])**2 in int64, block_sums broadcast."""
-        shape = window_sums.shape[2:]
+    def bound(
+        window_sums: Callable[[int, int], np.ndarray],
+        block_sums: np.ndarray,
+        shape: tuple,
+    ) -> np.ndarray:
+        """Sum over the sub-blocks (i, j) of (window_sums(i, j) -
+        block_sums[i, j])**2 in int64, of the given shape, block_sums
+        broadcast."""
         diff = np.empty(shape, np.int32)  # no cast to subtract; squares in int64
         total, term = np.zeros(shape, np.int64), np.empty(shape, np.int64)
         for i, j in itertools.product((0, 1), (0, 1)):
-            np.subtract(window_sums[i, j], block_sums[i, j], out=diff)
+            np.subtract(window_sums(i, j), block_sums[i, j], out=diff)
             total += np.square(diff, out=term, dtype=np.int64)
         return total
 
@@ -187,24 +212,37 @@ def motion_search(
 
     if cfg.search_kind == "diamond":
         # Diamond search (Zhu & Ma, IEEE TIP 2000), every block in lock step
+        flat = sums.ravel()
         corners = half * np.array(((0, 1), (sums.shape[1], sums.shape[1] + 1)))
 
         def step(blocks: np.ndarray, pattern: np.ndarray) -> np.ndarray:
             """Move each block to the best of its centre and the neighbours at
             pattern's offsets; return those that moved.  A neighbour out of
-            range or off the padded frame bounds at the sentinel."""
+            range or off the padded frame bounds at the sentinel.  Each
+            per-neighbour array is dropped once used: they set the peak."""
             key = best[blocks]
             y, x = np.divmod(blocks, cols)
             cx, cy = vector(key)
             dx, dy = cx[:, None] + pattern[:, 0], cy[:, None] + pattern[:, 1]
-            wy, wx = y[:, None] * bs + dy, x[:, None] * bs + dx
+            codes = tie(dx, dy)
             fits = (abs(dx) <= rx) & (abs(dy) <= ry)
+            wy, wx = dy, dx  # the window's origin, built in place
+            wy += y[:, None] * bs
+            wx += x[:, None] * bs
             fits &= (wy >= 0) & (wy <= h - bs) & (wx >= 0) & (wx <= w - bs)
-            at = np.clip(wy, 0, h - bs) * sums.shape[1] + np.clip(wx, 0, w - bs)
-            window_sums = sums.take(at + corners[..., None, None])
-            bounds = bound(window_sums, cur_sub[:, :, y, x, None])
+            at = np.clip(wy, 0, h - bs, out=wy)  # its index in sums, in place
+            at *= sums.shape[1]
+            at += np.clip(wx, 0, w - bs, out=wx)
+            del dx, dy, wy, wx
+
+            def corner(i: int, j: int) -> np.ndarray:
+                return flat[corners[i, j] :].take(at)
+
+            bounds = bound(corner, cur_sub[:, :, y, x, None], at.shape)
+            del at
             bounds[~fits] = np.iinfo(np.int64).max
-            pick(blocks, bounds, tie(dx, dy))
+            del fits
+            pick(blocks, bounds, codes)
             return blocks[best[blocks] < key]
 
         # each move strictly lowers a block's key, so every walk ends; the
@@ -220,27 +258,38 @@ def motion_search(
         ty = min(ky, max(1, SEARCH_TILE // (cols * kx)))
         tb = max(1, SEARCH_TILE // (cols * kx * ty))
         near = sorted(range(0, ky, ty), key=lambda y0: abs(2 * (y0 - ry) + ty - 1))
-        # the sums padded with 2**20: one such term, over 2**39, exceeds n *
-        # any SSE < 2**34.  A tile whose windows all leave the frame is
-        # skipped, so the rest reach at most a tile's height past it.
-        pad = min(ry, (tb - 1) * bs + ty - 1)
-        sub = np.full(np.add(sums.shape, (2 * pad, 2 * rx)), 2**20, np.int32)
-        sub[pad : pad + sums.shape[0], rx : rx + sums.shape[1]] = sums
-        del sums
-        s0, s1 = sub.strides
-        strides = (half * s0, half * s1, bs * s0, bs * s1, s0, s1)
-        for b0, y0 in itertools.product(range(0, rows, tb), near):
-            shape = (min(tb, rows - b0), cols, min(ty, ky - y0), kx)
-            top = b0 * bs + y0 - ry  # of the tile's first window
-            if top + (shape[0] - 1) * bs + shape[2] - 1 < 0 or top > h - bs:
-                continue
+        for b0 in range(0, rows, tb):
+            nb = min(tb, rows - b0)
+            # the band's rows of sums, padded with 2**20: one such term, over
+            # 2**39, exceeds n * any SSE < 2**34.  A tile whose windows all
+            # leave the frame is skipped, so the rest reach at most a tile's
+            # height past it.
+            reach = (nb - 1) * bs + ty - 1
+            lo = max(b0 * bs - ry, -reach)
+            hi = min((b0 + nb - 1) * bs + ry + half, sums.shape[0] - 1 + reach) + 1
+            sub = np.full((hi - lo, sums.shape[1] + 2 * rx), 2**20, np.int32)
+            into = np.s_[max(0, -lo) : sums.shape[0] - lo, rx : rx + sums.shape[1]]
+            sub[into] = sums[max(0, lo) : hi]
+            s0, s1 = sub.strides
+            strides = (half * s0, half * s1, bs * s0, bs * s1, s0, s1)
             # views[i, j, b, c, y, x] sums sub-block (i, j) of the window of
-            # block (b0 + b, c) at vector row y0 + y, column x
-            views = as_strided(sub[top + pad :], (2, 2, *shape), strides)
-            bounds = bound(views, cur_sub[:, :, b0 : b0 + tb, :, None, None])
-            dy, dx = np.divmod(np.arange(shape[2] * kx)[None], kx)
-            blocks = np.arange(b0 * cols, (b0 + shape[0]) * cols)
-            pick(blocks, bounds.reshape(blocks.size, -1), tie(dx - rx, dy + y0 - ry))
+            # block (b0 + b, c) at vector row y + lo + ry - b0 * bs, column x
+            span = hi - lo - half - (nb - 1) * bs
+            views = as_strided(sub, (2, 2, nb, cols, span, kx), strides)
+            blocks = np.arange(b0 * cols, (b0 + nb) * cols)
+            block_sums = cur_sub[:, :, b0 : b0 + tb, :, None, None]
+            for y0 in near:
+                shape = (nb, cols, min(ty, ky - y0), kx)
+                top = b0 * bs + y0 - ry  # of the tile's first window
+                if top + (nb - 1) * bs + shape[2] - 1 < 0 or top > h - bs:
+                    continue
+                ys = np.s_[top - lo : top - lo + shape[2]]  # of views
+                bounds = bound(lambda i, j: views[i, j, :, :, ys], block_sums, shape)
+                dy, dx = np.divmod(np.arange(shape[2] * kx)[None], kx)
+                codes = tie(dx - rx, dy + y0 - ry)
+                pick(blocks, bounds.reshape(blocks.size, -1), codes)
+                del bounds  # before the next tile's are built
+            del sub, views  # before the next band's are built
     mv = np.stack(vector(best), axis=1).reshape(rows, cols, 2)
     return mv, (best >> shift).reshape(rows, cols), zero
 
@@ -253,6 +302,13 @@ def _block_sums(a: np.ndarray, size: int) -> np.ndarray:
     (1, 3)."""
     col_sums = a.reshape(a.shape[0] // size, size, -1).sum(axis=1, dtype=np.int32)
     return col_sums.reshape(col_sums.shape[0], -1, size).sum(axis=2, dtype=np.int32)
+
+
+def _bands(h: int, w: int, bs: int) -> Iterator[tuple[slice, slice]]:
+    """(block rows, sample rows) slices that cut an h x w frame into bands of
+    whole block rows, BAND_SAMPLES samples or one block row each."""
+    n = max(1, BAND_SAMPLES // (w * bs)) * bs
+    return ((np.s_[y // bs : (y + n) // bs], np.s_[y : y + n]) for y in range(0, h, n))
 
 
 def _window_sums(a: np.ndarray, size: int) -> np.ndarray:
@@ -282,10 +338,13 @@ def analyze_frame(
     cfg = cfg or SearchConfig()
     bs = cfg.block_size
     mv, best, zero = motion_search(cur, prev, cfg)
-    samples = pad_to_block_grid(cur, bs).astype(np.int32, order="C")
-    total = _block_sums(samples, bs).astype(np.int64)
-    samples *= samples  # a 32x32 block of squares stays below 2**31
-    total_sq = _block_sums(samples, bs).astype(np.int64)
+    padded = pad_to_block_grid(cur, bs)
+    total, total_sq = np.empty((2, *best.shape), np.int64)
+    for b, p in _bands(*padded.shape, bs):
+        samples = padded[p].astype(np.int32, order="C")
+        total[b] = _block_sums(samples, bs)
+        samples *= samples  # a 32x32 block of squares stays below 2**31
+        total_sq[b] = _block_sums(samples, bs)
     n = bs * bs
     # a block is inter when best_sse <= its intra proxy sum((x - mean)^2),
     # compared exactly as n * best_sse <= n * sum(x^2) - sum(x)^2; ties

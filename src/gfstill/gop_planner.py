@@ -66,7 +66,7 @@ REF_BUFFER_SLOTS = 8
 # The gate sits above every size with a cell below 1.  At 2**17 it would
 # pool 640x360 to 854x480 too, which gain in every cell, but no benchmark
 # workload runs those sizes.  At 2**16 CIF pools as well: `plan` on a
-# 33-frame CIF pan then peaks at 40.5 MiB RSS against 37.0 (+9%), for at
+# 33-frame CIF pan then peaks at 34.2 MiB RSS against 32.0 (+7%), for at
 # most 1.17x.
 POOL_MIN_PIXELS = 2**19
 

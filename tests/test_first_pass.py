@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,22 @@ def _assert_matches_oracle(cur, ref, cfg):
     for by, bx in np.ndindex(rows, cols):
         want = oracle(cur_p, ref_p, by, bx, cfg.block_size, cfg.search_range)
         assert (tuple(mv[by, bx]), best[by, bx], zero[by, bx]) == want
+
+
+def _oracle(cur, ref, cfg):
+    """motion_search's (mv, best_sse, zero_mv_sse) as the unpruned
+    exhaustive reference or the per-block diamond oracle give them."""
+    if cfg.search_kind == "exhaustive":
+        return reference_block_search(cur, ref, cfg.block_size, cfg.search_range)
+    cur_p, ref_p = (pad_to_block_grid(f, cfg.block_size) for f in (cur, ref))
+    rows, cols = np.array(cur_p.shape) // cfg.block_size
+    mv = np.zeros((rows, cols, 2), np.int64)
+    best, zero = np.zeros((2, rows, cols), np.int64)
+    for by, bx in np.ndindex(rows, cols):
+        mv[by, bx], best[by, bx], zero[by, bx] = brute_force_diamond_search(
+            cur_p, ref_p, by, bx, cfg.block_size, cfg.search_range
+        )
+    return mv, best, zero
 
 
 class TestBlockSearch:
@@ -251,29 +268,40 @@ class TestOracleProperty:
 
 
 class TestTiles:
+    # 100x75 pads to 5 block rows at block 16 and 3 at block 32; a tile of 1
+    # or 2000 pairs holds one block row and part of the vector rows, so tiles
+    # meet inside the grid along both axes.  A band of one block row cuts the
+    # frame at every block row; 100x70 and 1280x720 at block 32 end in a
+    # padded block row, and 1280x720 in a band shorter than the others
     @pytest.mark.parametrize(
-        "content, block_size, search_range",
-        [("shifted", 16, 12), ("extremes", 32, 40)],
+        "content, width, height, block_size, search_range, kind",
+        [
+            pytest.param(
+                "shifted", 100, 75, 16, 12, "exhaustive", id="shifted-16-12"
+            ),
+            pytest.param(
+                "extremes", 100, 75, 32, 40, "exhaustive", id="extremes-32-40"
+            ),
+            ("shifted", 100, 70, 8, 32, "exhaustive"),
+            ("extremes", 1280, 720, 32, 1, "exhaustive"),
+            ("pan 8", 1280, 720, 32, 8, "exhaustive"),
+            ("shifted", 100, 70, 16, 8, "diamond"),
+            ("extremes", 100, 70, 32, 1, "diamond"),
+            ("random", 100, 70, 8, 32, "diamond"),
+            ("pan 8", 1280, 720, 32, 32, "diamond"),
+        ],
     )
     def test_tile_boundaries_change_nothing(
-        self, monkeypatch, content, block_size, search_range
+        self, monkeypatch, content, width, height, block_size, search_range, kind
     ):
-        # 100x75 pads to 5 block rows at block 16 and 3 at block 32; a tile of
-        # 1 or 2000 pairs holds one block row and part of the vector rows, so
-        # tiles meet inside the grid along both axes
-        if content == "extremes":
-            cur = np.zeros((75, 100), np.uint8)
-            ref = np.full((75, 100), 255, np.uint8)
-        else:
-            cur, ref = _frames(content, 75, 100, seed=7)
-        cfg = SearchConfig(block_size, search_range)
-        monkeypatch.setattr(first_pass, "SEARCH_TILE", 2**40)
-        one_tile = motion_search(cur, ref, cfg)
-        for tile in (1, 2000):
+        cur, ref = _clip(content, width, height, seed=7)
+        cfg = SearchConfig(block_size, search_range, kind)
+        want = _oracle(cur, ref, cfg)
+        for band, tile in itertools.product((1, 2**40), (2**40, 1, 2000)):
+            monkeypatch.setattr(first_pass, "BAND_SAMPLES", band)
             monkeypatch.setattr(first_pass, "SEARCH_TILE", tile)
-            _assert_matches_oracle(cur, ref, cfg)
-            for got, want in zip(motion_search(cur, ref, cfg), one_tile):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for got, w in zip(motion_search(cur, ref, cfg), want):
+                assert got.dtype == w.dtype and np.array_equal(got, w)
 
     def test_bound_equal_to_n_times_best_can_win_a_tie(self, monkeypatch):
         # block (1, 1) matches two flat patches equally well, so both bounds
@@ -290,10 +318,11 @@ class TestTiles:
 
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
     def test_peak_memory_is_bounded_whatever_the_range(self, kind):
-        # the exhaustive search's sum table widens with the range but is
-        # padded only a tile high, and its tiles do not grow: 2.9 MiB at range
-        # 8 and 4.7 MiB past the frame (numpy 2.4); one tile for the whole
-        # frame would need GiBs.  The diamond's table is the frame's size
+        # the exhaustive search's sum table, built a band of tiles at a time,
+        # widens with the range but is padded only a tile high, and its tiles
+        # do not grow: 3.3 MiB at range 8 and 4.8 MiB past the frame (numpy
+        # 2.4); one tile for the whole frame would need GiBs.  The diamond's
+        # table is the frame's size
         plane = _textured(640, 360)
         peaks = []
         for search_range in (8, 10_000):
@@ -305,12 +334,26 @@ class TestTiles:
                 tracemalloc.stop()
         assert peaks[1] < 3 * peaks[0]
 
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    def test_analyze_frame_peaks_at_5_bytes_a_pixel(self, kind):
+        # the frame-sized tables the search holds, 3 bytes a pixel, and the
+        # rest built a band or a tile at a time: 4.4 and 4.6 bytes a pixel
+        # (numpy 2.4), against 7.2 and 6.1 with whole-frame temporaries
+        cur, ref = _clip("static_noise 2", 1280, 720)
+        tracemalloc.start()
+        try:
+            analyze_frame(cur, ref, SearchConfig(16, 8, kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * cur.size
 
-def _clip(content, width, height):
+
+def _clip(content, width, height, seed=0):
     """(current, reference): frames 1 and 0 of a synthetic clip named "kind
     amplitude", or the pair `_frames` makes for content."""
     if " " not in content:
-        return _frames(content, height, width, seed=0)
+        return _frames(content, height, width, seed)
     kind, amplitude = content.split()
     seq = generate(SynthSpec(kind, width, height, 2, amplitude=float(amplitude)))
     return seq.frames[1].samples, seq.frames[0].samples
@@ -481,6 +524,40 @@ class TestFrameStats:
         stats = analyze_frame(cur, prev)
         assert stats.frame_sse == sum(int(b) for b in best.ravel())
         assert stats.block_count == best.size
+
+    # a band of one block row or of the whole frame; 100x70 and 1280x720 at
+    # block 32 end in a padded block row
+    @pytest.mark.parametrize("band", [1, 2**40])
+    @pytest.mark.parametrize(
+        "content, width, height, block_size, search_range, kind",
+        [
+            ("random", 100, 70, 8, 32, "exhaustive"),
+            ("extremes", 100, 70, 16, 8, "diamond"),
+            ("shifted", 100, 70, 32, 1, "exhaustive"),
+            ("pan 8", 1280, 720, 32, 8, "diamond"),
+        ],
+    )
+    def test_stats_recomputable_from_whole_frame_sums(
+        self, monkeypatch, band, content, width, height, block_size, search_range, kind
+    ):
+        cur, ref = _clip(content, width, height)
+        cfg = SearchConfig(block_size, search_range, kind)
+        monkeypatch.setattr(first_pass, "BAND_SAMPLES", band)
+        mv, best, zero = motion_search(cur, ref, cfg)
+        rows, cols = best.shape
+        samples = pad_to_block_grid(cur, block_size).astype(np.int64)
+        samples = samples.reshape(rows, block_size, cols, block_size)
+        total, total_sq = samples.sum(axis=(1, 3)), (samples**2).sum(axis=(1, 3))
+        n = block_size**2
+        inter = n * best <= n * total_sq - total**2
+        zero_inter = inter & ~mv.any(axis=2)
+        assert analyze_frame(cur, ref, cfg) == first_pass.FrameFirstPassStats(
+            pcnt_zero_motion=zero_inter.sum() / inter.sum() if inter.any() else 0.0,
+            frame_sse=best.sum(),
+            zero_mv_sse_stdev=np.std(zero.astype(np.float64)),
+            block_count=best.size,
+            inter_count=inter.sum(),
+        )
 
     def test_zero_mv_stdev_is_population_over_all_blocks(self, rng):
         cur = random_plane(rng, 64, 48)
