@@ -34,14 +34,11 @@ for label, spec in clips.items():
 
 # The accumulator is a MIN over frames, so one busy frame disqualifies the
 # whole group: splice four panning frames into an otherwise frozen clip.
-from gfstill import VideoSequence
-
-still = generate(SynthSpec("static", width=64, height=48, frame_count=17))
-moving = generate(SynthSpec("pan", width=64, height=48, frame_count=5, amplitude=4.0))
-spliced = VideoSequence(
-    list(still.frames[:13]) + list(moving.frames[1:]), still.frame_rate
+still = list(generate(SynthSpec("static", width=64, height=48, frame_count=17)))
+moving = list(
+    generate(SynthSpec("pan", width=64, height=48, frame_count=5, amplitude=4.0))
 )
-(group,) = plan_sequence(spliced)
+(group,) = plan_sequence(still[:13] + moving[1:])
 print(
     f"\nspliced clip: zero-motion {group.metrics.zero_motion_accumulator:.4f} "
     f"-> {group.verdict}"

@@ -12,7 +12,7 @@ import numpy as np
 from gfstill import SynthSpec, bd_rate, generate, psnr, ssim
 
 # degrade a synthetic frame with increasing amounts of clipped noise
-base = generate(SynthSpec("static", width=176, height=144)).frames[0].samples
+base = next(iter(generate(SynthSpec("static", width=176, height=144))))
 rng = np.random.default_rng(7)
 
 print(f"{'noise stdev':>11} {'PSNR dB':>9} {'SSIM':>8}")

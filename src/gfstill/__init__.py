@@ -46,7 +46,6 @@ from .video_io import (
     FramePlane,
     VideoSequence,
     Y4mError,
-    load_y4m,
     write_y4m,
     y4m_frames,
     yuv_frames,
@@ -75,7 +74,6 @@ __all__ = [
     "dump_metric_histograms",
     "generate",
     "load_rd_csv",
-    "load_y4m",
     "metric_histograms",
     "motion_search",
     "pad_to_block_grid",

@@ -363,16 +363,15 @@ def plan_sequence(
 ) -> list[GroupPlanResult]:
     """Segment, analyse and plan a sequence of 2-D uint8 frames of one size.
 
-    `frames` may be any iterable, a one-shot reader included; a
-    VideoSequence gives its planes.  Each group's frames are matched against
-    their display predecessor, the first frame of a group against the last
-    frame before it.  Pairs are matched as the frames arrive, and a frame is
-    dropped once its pairs are done, so a run holds the newest frame, the
-    one before it, the frame before a keyframe until the next frame shows
-    that the keyframe is not the last, and the pairs being matched.  Frames
-    of at least POOL_MIN_PIXELS have their pairs matched on a thread per
-    CPU this process may run on; the result is the same on any number of
-    CPUs.
+    `frames` may be any iterable, a one-shot reader included.  Each group's
+    frames are matched against their display predecessor, the first frame
+    of a group against the last frame before it.  Pairs are matched as the
+    frames arrive, and a frame is dropped once its pairs are done, so a run
+    holds the newest frame, the one before it, the frame before a keyframe
+    until the next frame shows that the keyframe is not the last, and the
+    pairs being matched.  Frames of at least POOL_MIN_PIXELS have their
+    pairs matched on a thread per CPU this process may run on; the result
+    is the same on any number of CPUs.
     """
     cfg = cfg or SearchConfig()
     target_interval, key_interval = check_intervals(target_interval, key_interval)

@@ -31,8 +31,6 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[
     error raised by `fn` or by the iterator stops every thread taking items
     and, once they have all finished, reaches the caller as the same object.
     """
-    if hasattr(items, "__len__"):
-        workers = min(workers, len(items))
     items = iter(items)
     done = object()
     lock = threading.Lock()

@@ -2,7 +2,7 @@
 
 Analysis downstream is luma-only; chroma planes only size each frame's
 payload and are never read.  Writing always emits 4:2:0 with
-neutral chroma, so a load/write/load cycle preserves luma exactly.
+neutral chroma, so a read/write/read cycle preserves luma exactly.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ class VideoSequence:
     iterable of frames is stored as a tuple."""
 
     frames: tuple[FramePlane, ...]
-    frame_rate: tuple[int, int] = (30, 1)
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
@@ -136,23 +135,9 @@ class VideoSequence:
             raise ValueError("a video sequence needs at least one frame")
         for _ in checked_frames(self):
             pass
-        # ints, so that write_y4m writes a header load_y4m reads
-        rate = tuple(_integer("frame rate term", t) for t in self.frame_rate)
-        object.__setattr__(self, "frame_rate", rate)
-        num, den = rate
-        if num <= 0 or den <= 0:
-            raise ValueError("frame rate must be a positive rational")
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return (f.samples for f in self.frames)
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].samples.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.frames[0].samples.shape[0]
 
 
 Source = Union[str, Path, bytes, BinaryIO]
@@ -253,66 +238,9 @@ def _frames(
         raise Y4mError("stream contains no frames", pos)
 
 
-def _read_y4m(stream: BinaryIO) -> tuple[tuple[int, int], Iterator[np.ndarray]]:
-    """Parse the stream header; return the frame rate and a generator of
-    the luma planes that follow it."""
-    header = stream.readline()
-    if not header.startswith(Y4M_SIGNATURE):
-        raise Y4mError("malformed YUV4MPEG2 signature", 0)
-    if not header.endswith(b"\n"):
-        raise Y4mError("stream header is missing its newline", 0)
-    header_end = len(header) - 1
-
-    width = height = 0
-    rate = (30, 1)
-    colorspace = "420"
-    for match in _TOKEN.finditer(header, len(Y4M_SIGNATURE), header_end):
-        pos, token = match.start(), match.group()
-        tag, value = token[:1], token[1:]
-        try:
-            if tag == b"W":
-                width = _header_dimension("width", value, pos)
-            elif tag == b"H":
-                height = _header_dimension("height", value, pos)
-            elif tag == b"F":
-                num, den = value.split(b":")
-                rate = (_header_number(num), _header_number(den))
-                if min(rate) <= 0:
-                    raise Y4mError(
-                        "frame rate must be a positive rational, "
-                        f"got {value.decode('ascii')}",
-                        pos,
-                    )
-            elif tag == b"C":
-                colorspace = value.decode("ascii", "replace")
-                if colorspace not in _COLORSPACES:
-                    raise Y4mError(
-                        f"unsupported colorspace or bit depth {token.decode('ascii', 'replace')!r}",
-                        pos,
-                    )
-            # I, A and X tags are legal but irrelevant here.
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, Y4mError):
-                raise
-            raise Y4mError(
-                f"malformed header token {token.decode('ascii', 'replace')!r}", pos
-            ) from exc
-    if width <= 0 or height <= 0:
-        raise Y4mError("header does not declare both W and H", 0)
-
-    frame_bytes = _frame_size(width, height, colorspace)
-    return rate, _frames(stream, len(header), width, height, frame_bytes, marker=True)
-
-
 def y4m_frames(source: Source) -> Iterator[np.ndarray]:
     """Yield the luma planes of a YUV4MPEG2 stream one at a time, each read
-    from the stream as it is asked for; `load_y4m` lists the same planes."""
-    with _opened(source, "rb") as stream:
-        yield from _read_y4m(stream)[1]
-
-
-def load_y4m(source: Source) -> VideoSequence:
-    """Parse a YUV4MPEG2 stream into luma frames.
+    from the stream as it is asked for.
 
     Accepts 8-bit 4:2:0 (any siting), 4:2:2, 4:4:4 and mono only.  Malformed
     signatures or FRAME lines, unsupported colorspace tokens, frames under
@@ -320,8 +248,50 @@ def load_y4m(source: Source) -> VideoSequence:
     with the byte offset of the problem.
     """
     with _opened(source, "rb") as stream:
-        rate, frames = _read_y4m(stream)
-        return VideoSequence(map(FramePlane, frames), rate)
+        header = stream.readline()
+        if not header.startswith(Y4M_SIGNATURE):
+            raise Y4mError("malformed YUV4MPEG2 signature", 0)
+        if not header.endswith(b"\n"):
+            raise Y4mError("stream header is missing its newline", 0)
+
+        width = height = 0
+        colorspace = "420"
+        for match in _TOKEN.finditer(header, len(Y4M_SIGNATURE), len(header) - 1):
+            pos, token = match.start(), match.group()
+            tag, value = token[:1], token[1:]
+            try:
+                if tag == b"W":
+                    width = _header_dimension("width", value, pos)
+                elif tag == b"H":
+                    height = _header_dimension("height", value, pos)
+                elif tag == b"F":
+                    num, den = value.split(b":")
+                    if min(_header_number(num), _header_number(den)) <= 0:
+                        raise Y4mError(
+                            "frame rate must be a positive rational, "
+                            f"got {value.decode('ascii')}",
+                            pos,
+                        )
+                elif tag == b"C":
+                    colorspace = value.decode("ascii", "replace")
+                    if colorspace not in _COLORSPACES:
+                        raise Y4mError(
+                            "unsupported colorspace or bit depth "
+                            f"{token.decode('ascii', 'replace')!r}",
+                            pos,
+                        )
+                # I, A and X tags are legal but irrelevant here.
+            except (ValueError, IndexError) as exc:
+                if isinstance(exc, Y4mError):
+                    raise
+                raise Y4mError(
+                    f"malformed header token {token.decode('ascii', 'replace')!r}", pos
+                ) from exc
+        if width <= 0 or height <= 0:
+            raise Y4mError("header does not declare both W and H", 0)
+
+        frame_bytes = _frame_size(width, height, colorspace)
+        yield from _frames(stream, len(header), width, height, frame_bytes, marker=True)
 
 
 def yuv_frames(
@@ -337,18 +307,24 @@ def yuv_frames(
         yield from _frames(stream, 0, width, height, frame_bytes, marker=False)
 
 
-def write_y4m(sequence: VideoSequence, sink: Union[str, Path, BinaryIO]) -> int:
-    """Serialize luma as 8-bit 4:2:0 Y4M with neutral (128) chroma.
+def write_y4m(frames: Iterable[np.ndarray], sink: Union[str, Path, BinaryIO]) -> int:
+    """Serialize 2-D uint8 luma frames of one size, at least 16x16, as 8-bit
+    4:2:0 Y4M at 30 frames per second with neutral (128) chroma.
 
-    Returns the number of bytes written.
+    `frames` may be any iterable.  It is listed in full and every frame is
+    checked before `sink` is opened, so a ValueError leaves no file, and
+    memory grows with the clip's length.  Returns the number of bytes
+    written.
     """
-    w, h = sequence.width, sequence.height
-    num, den = sequence.frame_rate
-    header = f"YUV4MPEG2 W{w} H{h} F{num}:{den} Ip A0:0 C420\n".encode("ascii")
+    frames = list(checked_frames(frames))
+    if not frames:
+        raise ValueError("there are no frames to write")
+    h, w = frames[0].shape
+    header = f"YUV4MPEG2 W{w} H{h} F30:1 Ip A0:0 C420\n".encode("ascii")
     neutral = bytes([128]) * (_frame_size(w, h, "420") - w * h)
     with _opened(sink, "wb") as out:
         written = out.write(header)
-        for frame in sequence:
+        for frame in frames:
             written += out.write(b"FRAME\n")
             written += out.write(frame.tobytes())
             written += out.write(neutral)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from gfstill.stillness import (
     classify_stillness,
     compute_group_metrics,
 )
-from gfstill.video_io import VideoSequence, write_y4m
+from gfstill.video_io import write_y4m
 
 
 def brute_force_block_search(
@@ -242,10 +243,10 @@ def random_plane(rng: np.random.Generator, width: int, height: int) -> np.ndarra
     return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
 
 
-def serialize_y4m(sequence: VideoSequence) -> bytes:
+def serialize_y4m(frames: Iterable[np.ndarray]) -> bytes:
     """In-memory write_y4m, handy for round-trip checks."""
     buf = io.BytesIO()
-    write_y4m(sequence, buf)
+    write_y4m(frames, buf)
     return buf.getvalue()
 
 

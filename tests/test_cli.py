@@ -13,7 +13,7 @@ import gfstill
 
 from gfstill.cli import main
 from gfstill.synth import SynthSpec, generate
-from gfstill.video_io import load_y4m, write_y4m
+from gfstill.video_io import write_y4m, y4m_frames
 
 
 def run(*argv):
@@ -59,8 +59,8 @@ class TestSynthCommand:
         out = tmp_path / "clip.y4m"
         assert run("synth", str(out), "--kind", "static", "--width", "32",
                    "--height", "32", "--frames", "4") == 0
-        seq = load_y4m(out)
-        assert (seq.width, seq.height, len(seq.frames)) == (32, 32, 4)
+        frames = list(y4m_frames(out))
+        assert [f.shape for f in frames] == [(32, 32)] * 4
         assert "wrote 4 frame(s)" in capsys.readouterr().err
 
     def test_output_is_reproducible(self, tmp_path):
@@ -229,11 +229,12 @@ class TestAnalyzeCommand:
         clip = Path(pan_clip)
         flags = []
         if raw:
-            seq = load_y4m(clip)
+            frames = list(y4m_frames(clip))
+            height, width = frames[0].shape
             clip = tmp_path / "pan.yuv"
-            chroma = bytes([128]) * (2 * (seq.width // 2) * (seq.height // 2))
-            clip.write_bytes(b"".join(f.samples.tobytes() + chroma for f in seq.frames))
-            flags = ["--width", str(seq.width), "--height", str(seq.height)]
+            chroma = bytes([128]) * (2 * (width // 2) * (height // 2))
+            clip.write_bytes(b"".join(f.tobytes() + chroma for f in frames))
+            flags = ["--width", str(width), "--height", str(height)]
         env = child_env()
         argv = [*CLI, "analyze"]
         by_path = subprocess.run(
@@ -292,8 +293,8 @@ class TestAnalyzeCommand:
         raw = tmp_path / "clip.yuv"
         chroma = bytes([128]) * (16 * 16 * 2)
         with open(raw, "wb") as fh:
-            for frame in seq.frames:
-                fh.write(frame.samples.tobytes())
+            for frame in seq:
+                fh.write(frame.tobytes())
                 fh.write(chroma)
         assert run("analyze", str(raw), "--width", "32", "--height", "32") == 0
         assert capsys.readouterr().out.splitlines()[1].endswith("still")
@@ -329,11 +330,12 @@ class TestAnalyzeCommand:
     def test_chroma_selects_the_raw_layout(self, static_clip, tmp_path, capsys):
         assert run("analyze", static_clip) == 0
         printed = capsys.readouterr().out
-        seq = load_y4m(static_clip)
+        frames = list(y4m_frames(static_clip))
+        height, width = frames[0].shape
         raw = tmp_path / "clip.yuv"
-        chroma = bytes([128]) * (2 * seq.width * seq.height)
-        raw.write_bytes(b"".join(f.samples.tobytes() + chroma for f in seq.frames))
-        size = ["--width", str(seq.width), "--height", str(seq.height)]
+        chroma = bytes([128]) * (2 * width * height)
+        raw.write_bytes(b"".join(f.tobytes() + chroma for f in frames))
+        size = ["--width", str(width), "--height", str(height)]
         assert run("analyze", str(raw), *size, "--chroma", "444") == 0
         assert capsys.readouterr().out == printed
         # read as the default 4:2:0, the same bytes cut into other frames

@@ -26,7 +26,7 @@ from gfstill.synth import SynthSpec, generate
 
 
 def _textured(width=64, height=48, seed=11):
-    return generate(SynthSpec("static", width, height, 2, seed=seed)).frames[0].samples
+    return next(iter(generate(SynthSpec("static", width, height, 2, seed=seed))))
 
 
 def _assert_matches_oracle(cur, ref, cfg):
@@ -355,8 +355,8 @@ def _clip(content, width, height, seed=0):
     if " " not in content:
         return _frames(content, height, width, seed)
     kind, amplitude = content.split()
-    seq = generate(SynthSpec(kind, width, height, 2, amplitude=float(amplitude)))
-    return seq.frames[1].samples, seq.frames[0].samples
+    ref, cur = generate(SynthSpec(kind, width, height, 2, amplitude=float(amplitude)))
+    return cur, ref
 
 
 # every content at both ranges, and every block size twice at each; pan 8 on
@@ -484,7 +484,7 @@ class TestPadding:
         assert pad_to_block_grid(arr, 16) is arr
 
     def test_padded_blocks_participate(self):
-        plane = generate(SynthSpec("static", 70, 50, 2, seed=3)).frames[0].samples
+        plane = next(iter(generate(SynthSpec("static", 70, 50, 2, seed=3))))
         stats = analyze_frame(plane, plane)
         assert stats.block_count == (80 // 16) * (64 // 16)
         assert stats.pcnt_zero_motion == 1.0

@@ -29,7 +29,6 @@ from gfstill.gop_planner import (
 from gfstill.parallel import ordered_map
 from gfstill.stillness import compute_group_metrics
 from gfstill.synth import SynthSpec, generate
-from gfstill.video_io import VideoSequence
 
 
 def max_live_references(plan: GfGroupPlan) -> int:
@@ -398,11 +397,7 @@ class TestPlanSequence:
         moving = generate(
             SynthSpec("pan", width=64, height=48, frame_count=17, amplitude=4.0)
         )
-        seq = VideoSequence(
-            frames=list(still.frames) + list(moving.frames[1:]),
-            frame_rate=still.frame_rate,
-        )
-        results = plan_sequence(seq)
+        results = plan_sequence(list(still) + list(moving)[1:])
         assert [(r.start_display, r.plan.interval) for r in results] == [
             (1, 16),
             (17, 16),
@@ -448,8 +443,8 @@ class TestPlanSequence:
 def large_clip():
     """Five 1280x720 frames, above the pool's pixel gate, shuffled so that
     every frame pair moves by a different amount."""
-    pan = generate(SynthSpec("pan", 1280, 720, 5, amplitude=4.0)).frames
-    return VideoSequence([pan[i] for i in (0, 1, 3, 2, 4)])
+    pan = list(generate(SynthSpec("pan", 1280, 720, 5, amplitude=4.0)))
+    return [pan[i] for i in (0, 1, 3, 2, 4)]
 
 
 def _pooled_run(monkeypatch, cpus, clip, cfg, key_interval):
@@ -478,13 +473,10 @@ class TestFirstPassPool:
     def test_two_workers_equal_one(self, kind, large_clip, monkeypatch):
         cfg = SearchConfig(search_kind=kind)
         # keyframes at 0 and 2: groups (1, 1) and (3, 2), so pair 2 is skipped
-        frames = [f.samples for f in large_clip.frames]
+        f = large_clip
         want = [
-            [analyze_frame(frames[1], frames[0], cfg)],
-            [
-                analyze_frame(frames[3], frames[2], cfg),
-                analyze_frame(frames[4], frames[3], cfg),
-            ],
+            [analyze_frame(f[1], f[0], cfg)],
+            [analyze_frame(f[3], f[2], cfg), analyze_frame(f[4], f[3], cfg)],
         ]
         assert len({s.frame_sse for group in want for s in group}) == 3
         one = _pooled_run(monkeypatch, 1, large_clip, cfg, key_interval=2)
@@ -502,7 +494,7 @@ class TestFirstPassPool:
         raised = ValueError("frame 3 is unreadable")
 
         def analyze(cur, prev, cfg):
-            if cur is large_clip.frames[3].samples:
+            if cur is large_clip[3]:
                 raise raised
             return analyze_frame(cur, prev, cfg)
 

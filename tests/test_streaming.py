@@ -29,7 +29,7 @@ from gfstill.gop_planner import (
 )
 from gfstill.quality import psnr, sequence_quality, ssim
 from gfstill.synth import SynthSpec, generate
-from gfstill.video_io import FramePlane, VideoSequence, write_y4m
+from gfstill.video_io import write_y4m
 
 from conftest import batch_pipeline
 
@@ -72,7 +72,7 @@ def test_streamed_cli_equals_the_batch_reference(
     kind, frames, width, height, target, key, search_kind, cpus
 ):
     spec = SynthSpec(kind, width, height, frames, amplitude=2.0, seed=frames)
-    planes = [f.samples for f in generate(spec).frames]
+    planes = list(generate(spec))
     cfg = SearchConfig(search_kind=search_kind)
     want = batch_pipeline(planes, cfg, target, key)
 
@@ -108,14 +108,14 @@ def test_streamed_cli_equals_the_batch_reference(
     ],
 )
 def test_plan_sequence_holds_a_few_frames_at_once(cpus, key_interval, limit):
-    base = generate(SynthSpec("pan", 48, 32, 40, amplitude=1.0)).frames
+    base = list(generate(SynthSpec("pan", 48, 32, 40, amplitude=1.0)))
     refs: list[weakref.ref] = []
     peak = 0
 
     def frames():
         nonlocal peak
         for f in base:
-            frame = f.samples.copy()
+            frame = f.copy()
             refs.append(weakref.ref(frame))
             peak = max(peak, sum(r() is not None for r in refs))
             yield frame
@@ -125,7 +125,7 @@ def test_plan_sequence_holds_a_few_frames_at_once(cpus, key_interval, limit):
         streamed = plan_sequence(frames(), key_interval=key_interval)
     assert len(refs) == 40
     assert 2 <= peak <= limit
-    batch = plan_sequence([f.samples for f in base], key_interval=key_interval)
+    batch = plan_sequence(base, key_interval=key_interval)
     assert plans_to_json(streamed) == plans_to_json(batch)
 
 
@@ -157,7 +157,7 @@ def test_plan_sequence_checks_each_frame(frames, message):
 
 def _y4m(frames: list[np.ndarray]) -> bytes:
     out = io.BytesIO()
-    write_y4m(VideoSequence([FramePlane(f) for f in frames]), out)
+    write_y4m(frames, out)
     return out.getvalue()
 
 
@@ -175,7 +175,7 @@ def test_streamed_quality_equals_the_per_pair_reference(
     # synth makes at least two frames; a clip of one is cut from them
     specs = [SynthSpec(k, width, height, max(frames, 2), 3.0, seed=i) for i, k in
              enumerate(kinds)]
-    ref, dist = ([f.samples for f in generate(s).frames[:frames]] for s in specs)
+    ref, dist = (list(generate(s))[:frames] for s in specs)
     scores = [(psnr(r, d), ssim(r, d)) for r, d in zip(ref, dist)]
     rows = [f"{i},{p:.6f},{s:.8f}" for i, (p, s) in enumerate(scores)]
     mean_psnr = math.fsum(p for p, _ in scores) / frames
@@ -211,7 +211,7 @@ def test_quality_counts_the_rest_of_the_longer_clip(counts, tmp_path, capsys):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_sequence_quality_holds_a_few_frames_at_once(cpus, length):
     specs = [SynthSpec("static_noise", 48, 32, length, 3.0, seed) for seed in (0, 1)]
-    ref, dist = ([f.samples for f in generate(s).frames] for s in specs)
+    ref, dist = (list(generate(s)) for s in specs)
     refs: list[weakref.ref] = []
     peak = 0
 

@@ -8,7 +8,7 @@ from gfstill.synth import SynthSpec, generate
 
 
 def _frames(spec: SynthSpec) -> list[np.ndarray]:
-    return [f.samples for f in generate(spec).frames]
+    return list(generate(spec))
 
 
 class TestSpec:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from gfstill import video_io
+from gfstill.synth import SynthSpec, generate
 from gfstill.video_io import (
     FramePlane,
     VideoSequence,
     Y4mError,
-    load_y4m,
     write_y4m,
     y4m_frames,
     yuv_frames,
@@ -39,34 +39,32 @@ def _frames(n, width=64, height=48, seed=1):
 class TestLoad:
     def test_basic_header_and_frames(self):
         frames = _frames(3)
-        seq = load_y4m(_y4m_bytes(64, 48, frames))
-        assert (seq.width, seq.height) == (64, 48)
-        assert len(seq.frames) == 3
-        assert seq.frame_rate == (25, 1)
-        for got, want in zip(seq.frames, frames):
-            assert np.array_equal(got.samples, want)
+        got = list(y4m_frames(_y4m_bytes(64, 48, frames)))
+        assert [g.shape for g in got] == [(48, 64)] * 3
+        for g, want in zip(got, frames):
+            assert np.array_equal(g, want)
 
     def test_c444_luma(self):
         frames = _frames(2)
-        seq = load_y4m(_y4m_bytes(64, 48, frames, colorspace=b"C444"))
-        assert len(seq.frames) == 2
-        assert np.array_equal(seq.frames[1].samples, frames[1])
+        got = list(y4m_frames(_y4m_bytes(64, 48, frames, colorspace=b"C444")))
+        assert len(got) == 2
+        assert np.array_equal(got[1], frames[1])
 
     def test_colorspace_defaults_to_420(self):
         frames = _frames(1)
         header = b"YUV4MPEG2 W64 H48 F30:1\n"
         body = b"FRAME\n" + frames[0].tobytes() + bytes(32 * 24) * 2
-        seq = load_y4m(header + body)
-        assert np.array_equal(seq.frames[0].samples, frames[0])
+        (got,) = y4m_frames(header + body)
+        assert np.array_equal(got, frames[0])
 
     def test_accepts_420_variants(self):
         for tag in (b"C420jpeg", b"C420mpeg2", b"C420paldv"):
-            seq = load_y4m(_y4m_bytes(64, 48, _frames(1), colorspace=tag))
-            assert len(seq.frames) == 1
+            got = list(y4m_frames(_y4m_bytes(64, 48, _frames(1), colorspace=tag)))
+            assert len(got) == 1
 
     def test_rejects_bad_signature(self):
         with pytest.raises(Y4mError) as exc:
-            load_y4m(b"YUV4MPEG9 W64 H48\n")
+            list(y4m_frames(b"YUV4MPEG9 W64 H48\n"))
         assert exc.value.offset == 0
 
     @pytest.mark.parametrize(
@@ -81,32 +79,32 @@ class TestLoad:
         data = b"YUV4MPEG2 W33 H17 F25:1 %s\n" % tag + b"".join(
             b"FRAME\n" + f.tobytes() + b"\x80" * chroma_bytes for f in frames
         )
-        seq = load_y4m(data)
-        assert len(seq.frames) == 2
-        for got, want in zip(seq.frames, frames):
-            assert np.array_equal(got.samples, want)
+        got = list(y4m_frames(data))
+        assert len(got) == 2
+        for g, want in zip(got, frames):
+            assert np.array_equal(g, want)
 
     @pytest.mark.parametrize("tag", [b"C420p10", b"C444p12"])
     def test_rejects_unsupported_colorspace(self, tag):
         data = _y4m_bytes(64, 48, _frames(1), colorspace=tag)
         with pytest.raises(Y4mError) as exc:
-            load_y4m(data)
+            list(y4m_frames(data))
         assert b"YUV4MPEG2 " in data[: exc.value.offset + 1]
         assert exc.value.offset > 0
 
     def test_missing_dimensions(self):
         with pytest.raises(Y4mError):
-            load_y4m(b"YUV4MPEG2 F25:1 C420\nFRAME\n")
+            list(y4m_frames(b"YUV4MPEG2 F25:1 C420\nFRAME\n"))
 
     def test_malformed_width_token(self):
         with pytest.raises(Y4mError):
-            load_y4m(b"YUV4MPEG2 Wxx H48 F25:1\n")
+            list(y4m_frames(b"YUV4MPEG2 Wxx H48 F25:1\n"))
 
     def test_truncated_payload_reports_offset(self):
         data = _y4m_bytes(64, 48, _frames(1))
         clipped = data[:-100]
         with pytest.raises(Y4mError) as exc:
-            load_y4m(clipped)
+            list(y4m_frames(clipped))
         assert "truncated" in str(exc.value)
         # the offset points at the start of the bad payload
         assert clipped[exc.value.offset - 6 : exc.value.offset] == b"FRAME\n"
@@ -115,18 +113,18 @@ class TestLoad:
         data = _y4m_bytes(64, 48, _frames(1))
         broken = data.replace(b"FRAME\n", b"FRAMX\n", 1)
         with pytest.raises(Y4mError) as exc:
-            load_y4m(broken)
+            list(y4m_frames(broken))
         assert "FRAME" in str(exc.value)
 
     def test_frame_parameters_are_legal(self):
         frames = _frames(2)
         data = _y4m_bytes(64, 48, frames).replace(b"FRAME\n", b"FRAME Ip XY=1\n")
-        seq = load_y4m(data)
-        assert np.array_equal(seq.frames[1].samples, frames[1])
+        got = list(y4m_frames(data))
+        assert np.array_equal(got[1], frames[1])
 
     def test_header_only_means_no_frames(self):
         with pytest.raises(Y4mError) as exc:
-            load_y4m(b"YUV4MPEG2 W64 H48 F25:1 C420\n")
+            list(y4m_frames(b"YUV4MPEG2 W64 H48 F25:1 C420\n"))
         assert "no frames" in str(exc.value)
 
     def test_payload_spelling_frame_is_not_resynced(self):
@@ -135,12 +133,12 @@ class TestLoad:
         frame = np.zeros((48, 64), np.uint8)
         marker = np.frombuffer(b"FRAME\n", np.uint8)
         frame.reshape(-1)[100 : 100 + marker.size] = marker
-        seq = load_y4m(_y4m_bytes(64, 48, [frame, frame]))
-        assert len(seq.frames) == 2
+        got = list(y4m_frames(_y4m_bytes(64, 48, [frame, frame])))
+        assert len(got) == 2
 
     def test_too_small_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            load_y4m(_y4m_bytes(8, 8, [np.zeros((8, 8), np.uint8)]))
+            list(y4m_frames(_y4m_bytes(8, 8, [np.zeros((8, 8), np.uint8)])))
 
     @pytest.mark.parametrize(
         "token, message",
@@ -167,18 +165,26 @@ class TestLoad:
         end = header.index(b" ", start)
         data = header[:start] + token + header[end:] + b"FRAME\n" + bytes(64 * 48 * 3 // 2)
         with pytest.raises(Y4mError) as exc:
-            load_y4m(data)
+            list(y4m_frames(data))
         assert message in str(exc.value)
         assert exc.value.offset == start
         assert data[exc.value.offset :].startswith(token)
+
+    @pytest.mark.parametrize("rate", [b"F30000:1001", b"F1:1"])
+    def test_any_positive_rational_rate_is_read(self, rate):
+        frames = _frames(2)
+        data = _y4m_bytes(64, 48, frames).replace(b"F25:1", rate, 1)
+        got = list(y4m_frames(data))
+        assert len(got) == 2
+        assert np.array_equal(got[1], frames[1])
 
     def test_reads_from_stream_and_path(self, tmp_path):
         data = _y4m_bytes(64, 48, _frames(2))
         path = tmp_path / "clip.y4m"
         path.write_bytes(data)
-        from_path = load_y4m(path)
-        from_stream = load_y4m(io.BytesIO(data))
-        assert len(from_path.frames) == len(from_stream.frames) == 2
+        from_path = list(y4m_frames(path))
+        from_stream = list(y4m_frames(io.BytesIO(data)))
+        assert len(from_path) == len(from_stream) == 2
 
 
 class TestStream:
@@ -212,15 +218,15 @@ class TestStream:
         monkeypatch.setattr(video_io, "_PIECE", piece)
         frames = _frames(2)
         data = _y4m_bytes(64, 48, frames)
-        for got, want in zip(load_y4m(data).frames, frames):
-            assert np.array_equal(got.samples, want)
+        for got, want in zip(y4m_frames(data), frames):
+            assert np.array_equal(got, want)
         blob = b"".join(f.tobytes() + bytes(32 * 24) * 2 for f in frames)
         assert all(
             np.array_equal(got, want) for got, want in zip(yuv_frames(blob, 64, 48), frames)
         )
         clipped = data[: len(data) - 3000]
         with pytest.raises(Y4mError) as exc:
-            load_y4m(clipped)
+            list(y4m_frames(clipped))
         offset = exc.value.offset
         got = len(clipped) - offset
         assert clipped[offset - 6 : offset] == b"FRAME\n"
@@ -229,35 +235,58 @@ class TestStream:
 
 class TestWrite:
     def test_round_trip_preserves_luma(self):
-        frames = [FramePlane(f) for f in _frames(3, seed=7)]
-        seq = VideoSequence(frames, frame_rate=(24, 1))
-        back = load_y4m(serialize_y4m(seq))
-        assert back.frame_rate == (24, 1)
-        assert len(back.frames) == 3
-        for got, want in zip(back.frames, seq.frames):
-            assert np.array_equal(got.samples, want.samples)
+        frames = _frames(3, seed=7)
+        data = serialize_y4m(frames)
+        assert data.startswith(b"YUV4MPEG2 W64 H48 F30:1 ")
+        back = list(y4m_frames(data))
+        assert len(back) == 3
+        for got, want in zip(back, frames):
+            assert np.array_equal(got, want)
 
     def test_byte_count_matches_layout(self):
-        plane = FramePlane(np.full((16, 16), 128, np.uint8))
-        seq = VideoSequence([plane])
         buf = io.BytesIO()
-        written = write_y4m(seq, buf)
+        written = write_y4m([np.full((16, 16), 128, np.uint8)], buf)
         header = b"YUV4MPEG2 W16 H16 F30:1 Ip A0:0 C420\n"
         assert written == len(header) + 6 + 16 * 16 + 2 * (8 * 8)
         assert written == len(buf.getvalue())
         assert buf.getvalue().startswith(header)
 
     def test_writes_neutral_chroma(self):
-        plane = FramePlane(np.zeros((16, 16), np.uint8))
-        data = serialize_y4m(VideoSequence([plane]))
+        data = serialize_y4m([np.zeros((16, 16), np.uint8)])
         chroma = data[-128:]
         assert chroma == bytes([128]) * 128
 
     def test_write_to_path(self, tmp_path):
-        seq = VideoSequence([FramePlane(f) for f in _frames(1)])
         path = tmp_path / "out.y4m"
-        count = write_y4m(seq, path)
+        count = write_y4m(_frames(1), path)
         assert path.stat().st_size == count
+
+    def test_a_sequence_a_list_and_a_generator_write_the_same_bytes(self):
+        seq = generate(SynthSpec("pan", width=176, height=144, frame_count=16, amplitude=4.0))
+        arrays = list(seq)
+        written = [serialize_y4m(seq), serialize_y4m(arrays), serialize_y4m(iter(arrays))]
+        assert written[0] == written[1] == written[2]
+
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            (
+                [np.zeros((48, 64), np.uint8), np.zeros((48, 32), np.uint8)],
+                "frame 1 is 32x48, expected 64x48",
+            ),
+            ([], "no frames"),
+            (iter([]), "no frames"),
+            ([np.zeros((48, 64), np.uint8), np.zeros((48, 64), np.int16)], "2-D uint8"),
+        ],
+        ids=["mixed-sizes", "empty", "empty-generator", "int16"],
+    )
+    def test_bad_frames_are_refused_before_the_file_is_made(
+        self, tmp_path, frames, message
+    ):
+        path = tmp_path / "out.y4m"
+        with pytest.raises(ValueError, match=message):
+            write_y4m(frames, path)
+        assert not path.exists()
 
 
 class TestRawYuv:
@@ -327,39 +356,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="frame 1 is 32x48, expected 64x48"):
             VideoSequence([a, b])
 
-    def test_sequence_rejects_bad_rate(self):
-        a = FramePlane(np.zeros((48, 64), np.uint8))
-        with pytest.raises(ValueError):
-            VideoSequence([a], frame_rate=(0, 1))
-
-    @pytest.mark.parametrize("rate", [(30.5, 1), ("30", "1"), (30, 1.0)])
-    def test_sequence_rejects_a_rate_that_is_not_integers(self, rate):
-        # write_y4m wrote F30.5:1, which load_y4m refuses
-        a = FramePlane(np.zeros((48, 64), np.uint8))
-        with pytest.raises(ValueError, match="^frame rate term must be an integer$"):
-            VideoSequence([a], frame_rate=rate)
-
-    @pytest.mark.parametrize(
-        "rate, stored", [((True, 1), (1, 1)), ((np.int64(25), 1), (25, 1))]
-    )
-    def test_sequence_rate_is_stored_as_ints_and_round_trips(self, rate, stored):
-        # True was written as FTrue:1
-        a = FramePlane(np.zeros((48, 64), np.uint8))
-        seq = VideoSequence([a, a], frame_rate=rate)
-        assert seq.frame_rate == stored
-        assert all(type(term) is int for term in seq.frame_rate)
-        assert load_y4m(serialize_y4m(seq)).frame_rate == stored
-
     def test_sequence_cannot_change_once_made(self):
-        # each change once made write_y4m write a file load_y4m refused
+        # each change once made write_y4m write a file y4m_frames refused
         a = FramePlane(np.zeros((16, 16), np.uint8))
-        seq = VideoSequence([a, a], frame_rate=(24, 1))
+        seq = VideoSequence([a, a])
         assert seq.frames == (a, a)
         with pytest.raises(AttributeError):
-            seq.frame_rate = (30.5, 1)
+            seq.frames = (a, a, a)
         with pytest.raises(AttributeError):
             seq.frames.append(FramePlane(np.zeros((32, 32), np.uint8)))
         with pytest.raises(AttributeError):
             a.samples = np.zeros((32, 32), np.uint8)
-        assert seq.frame_rate == (24, 1) and seq.frames == (a, a)
-        assert load_y4m(serialize_y4m(seq)).frame_rate == (24, 1)
+        assert seq.frames == (a, a)
+        assert len(list(y4m_frames(serialize_y4m(seq)))) == 2
