@@ -6,6 +6,9 @@ walk with no cache, plus an unpruned whole-frame scan fast enough for real
 frame sizes, and the SSIM oracle walks windows one by one.  They define what the fast implementations must match.
 The batch pipeline reference holds every frame at once and analyses each
 group's pairs in turn, the way the streamed `plan_sequence` must agree with.
+The synthetic clip reference renders each frame whole, one hash array per
+step and the four lattice corners gathered at every pixel, which the banded
+`generate` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from gfstill.stillness import (
     classify_stillness,
     compute_group_metrics,
 )
+from gfstill.synth import _OCTAVES, _pan_frame, _zoom_frame
 from gfstill.video_io import write_y4m
 
 
@@ -237,6 +241,98 @@ def batch_pipeline(
     csv_out = io.StringIO()
     dump_group_metrics(results, csv_out)
     return csv_out.getvalue(), json.dumps(plans_to_json(results), indent=2) + "\n"
+
+
+_U64 = np.uint64
+
+
+def _reference_mix64(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        z = z + _U64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+        return z ^ (z >> _U64(31))
+
+
+def reference_hash01(seed: int, tag: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) floats keyed by (seed, tag, y, x), whole arrays at once."""
+    base = _reference_mix64(np.asarray(_U64(seed & 0xFFFFFFFFFFFFFFFF))) ^ _reference_mix64(
+        np.asarray(_U64(tag))
+    )
+    with np.errstate(over="ignore"):
+        h = _reference_mix64(base + ys.astype(_U64) * _U64(0x9E3779B97F4A7C15))
+        h = _reference_mix64(h ^ (xs.astype(_U64) * _U64(0xC2B2AE3D27D4EB4F)))
+    return (h >> _U64(11)).astype(np.float64) / float(1 << 53)
+
+
+def _reference_value_noise(seed: int, tag: int, width: int, height: int) -> np.ndarray:
+    ys = np.arange(height, dtype=np.int64)[:, None]
+    xs = np.arange(width, dtype=np.int64)[None, :]
+    acc = np.zeros((height, width), dtype=np.float64)
+    for octave, (wavelength, weight) in enumerate(_OCTAVES):
+        j, ty = np.divmod(ys, wavelength)
+        i, tx = np.divmod(xs, wavelength)
+        ty = ty / wavelength
+        tx = tx / wavelength
+        # hash each lattice point once, then look the four corners up
+        lattice = reference_hash01(
+            seed,
+            tag * 8 + octave + 1,
+            np.arange(j[-1, 0] + 2, dtype=np.int64)[:, None],
+            np.arange(i[0, -1] + 2, dtype=np.int64)[None, :],
+        )
+        v00 = lattice[j, i]
+        v01 = lattice[j, i + 1]
+        v10 = lattice[j + 1, i]
+        v11 = lattice[j + 1, i + 1]
+        top = v00 * (1.0 - tx) + v01 * tx
+        bottom = v10 * (1.0 - tx) + v11 * tx
+        acc += weight * (top * (1.0 - ty) + bottom * ty)
+    return np.clip(np.rint(acc * 255.0), 0, 255).astype(np.uint8)
+
+
+def reference_generate(spec) -> list[np.ndarray]:
+    """The frames of `gfstill.synth.generate(spec)`, each rendered whole.
+
+    The noise is cast to int64 before it is clipped, so it holds only while
+    the noise is below 2**63 in magnitude (amplitude under about 1e18).
+    """
+    w, h, n = spec.width, spec.height, spec.frame_count
+    base = _reference_value_noise(spec.seed, 0, w, h)
+    frames: list[np.ndarray] = []
+
+    if spec.kind == "static":
+        frames = [base.copy() for _ in range(n)]
+    elif spec.kind == "static_noise":
+        ys = np.arange(h, dtype=np.int64)[:, None]
+        xs = np.arange(w, dtype=np.int64)[None, :]
+        for f in range(n):
+            # sum of three uniforms, recentred: mean 0, stdev = amplitude
+            u = sum(
+                reference_hash01(spec.seed, 1_000 + 3 * f + k, ys, xs) for k in range(3)
+            )
+            noise = np.rint((u - 1.5) * (2.0 * spec.amplitude))
+            frames.append(
+                np.clip(base.astype(np.int64) + noise.astype(np.int64), 0, 255).astype(
+                    np.uint8
+                )
+            )
+    elif spec.kind == "pan":
+        for f in range(n):
+            # past the frame width every offset gives the same frame
+            offset = int(round(min(spec.amplitude * f, w)))
+            frames.append(_pan_frame(base, offset))
+    elif spec.kind == "zoom":
+        scale = 1.0
+        for _ in range(n):
+            frames.append(_zoom_frame(base, scale))
+            scale *= 1.0 + spec.amplitude
+    else:  # cut
+        other = _reference_value_noise(spec.seed, 7, w, h)
+        half = n // 2
+        frames = [base.copy() for _ in range(half)]
+        frames += [other.copy() for _ in range(n - half)]
+    return frames
 
 
 def random_plane(rng: np.random.Generator, width: int, height: int) -> np.ndarray:
