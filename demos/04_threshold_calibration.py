@@ -10,13 +10,8 @@ recalibrating those thresholds on real footage.
 
 import io
 
-from gfstill import (
-    StillnessThresholds,
-    SynthSpec,
-    dump_metric_histograms,
-    generate,
-    plan_sequence,
-)
+from gfstill import StillnessThresholds, SynthSpec, generate, plan_sequence
+from gfstill.cli import dump_metric_histograms
 
 # noise amplitude sweep: pixel error and its spread grow with the noise
 # while zero-motion stays high, so the error ceilings do the rejecting

@@ -19,10 +19,8 @@ from .gop_planner import (
     GfGroupPlan,
     GroupPlanResult,
     PlanEntry,
-    dump_group_metrics,
     plan_group,
     plan_sequence,
-    plans_to_json,
     segment_groups,
     validate_plan,
 )
@@ -38,8 +36,6 @@ from .stillness import (
     StillnessThresholds,
     classify_stillness,
     compute_group_metrics,
-    dump_metric_histograms,
-    metric_histograms,
 )
 from .synth import SynthSpec, generate
 from .video_io import (
@@ -70,16 +66,12 @@ __all__ = [
     "bd_rate",
     "classify_stillness",
     "compute_group_metrics",
-    "dump_group_metrics",
-    "dump_metric_histograms",
     "generate",
     "load_rd_csv",
-    "metric_histograms",
     "motion_search",
     "pad_to_block_grid",
     "plan_group",
     "plan_sequence",
-    "plans_to_json",
     "psnr",
     "segment_groups",
     "sequence_quality",

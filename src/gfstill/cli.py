@@ -1,20 +1,24 @@
 """Command line front end.
 
 Machine-readable results (CSV, JSON) go to the requested output or stdout;
-anything meant for a human goes to stderr.  Exit codes: 0 success, 1 usage,
-2 input/parse failure, 3 internal validation failure.
+anything meant for a human goes to stderr.  Every report's format is decided
+here: the library returns data, and the writers below print it.  Exit codes:
+0 success, 1 usage, 2 input/parse failure, 3 internal validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
-from typing import Iterator
+from dataclasses import asdict
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,18 +27,11 @@ from .gop_planner import (
     MAX_GROUP_INTERVAL,
     GroupPlanResult,
     check_intervals,
-    dump_group_metrics,
     plan_sequence,
-    plans_to_json,
     validate_plan,
 )
 from .quality import bd_rate, load_rd_csv, sequence_quality
-from .stillness import (
-    DEFAULT_HISTOGRAM_BINS,
-    STILL,
-    StillnessThresholds,
-    dump_metric_histograms,
-)
+from .stillness import METRIC_NAMES, STILL, GfGroupMetrics, StillnessThresholds
 from .synth import SYNTH_KINDS, SynthSpec, generate
 from .video_io import RAW_CHROMA, Y4mError, write_y4m, y4m_frames, yuv_frames
 
@@ -42,6 +39,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+DEFAULT_HISTOGRAM_BINS = 20
+# numpy tries to allocate whatever bin count it is given, and a clip has a few
+# groups a second, so more bins than this only cost memory
+MAX_HISTOGRAM_BINS = 10_000
 
 
 class PlanValidationError(RuntimeError):
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gfstill", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[], help="per-group stillness metrics CSV")
+    p = sub.add_parser("analyze", help="per-group stillness metrics CSV")
     p.add_argument("input", help="Y4M or raw .yuv clip; - reads standard input")
     p.add_argument("-o", "--output", default=None, help="- writes standard output")
     p.add_argument(
@@ -202,26 +204,83 @@ def _analysed_groups(args) -> list[GroupPlanResult]:
     return results
 
 
+def _write_csv(sink: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def dump_group_metrics(results: Sequence[GroupPlanResult], sink: IO[str]) -> None:
+    """Write the per-group calibration CSV, one row per planned group."""
+    header = ("group_id", "first_display_index", "interval", *METRIC_NAMES, "verdict")
+    rows = []
+    for r in results:
+        metrics = (f"{getattr(r.metrics, name):.6f}" for name in METRIC_NAMES)
+        row = (r.group_id, r.start_display, r.metrics.interval, *metrics, r.verdict)
+        rows.append(row)
+    _write_csv(sink, header, rows)
+
+
+def dump_metric_histograms(
+    metrics: Sequence[GfGroupMetrics],
+    sink: IO[str],
+    bins: int = DEFAULT_HISTOGRAM_BINS,
+) -> None:
+    """Write a fixed-bin histogram of each metric as CSV rows, its bounds
+    taken from the data."""
+    if not 1 <= bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bins must lie in [1, {MAX_HISTOGRAM_BINS}]")
+    if not metrics:
+        raise ValueError("no metrics to histogram")
+    rows = []
+    for name in METRIC_NAMES:
+        counts, edges = np.histogram([getattr(m, name) for m in metrics], bins=bins)
+        rows += (
+            (name, i, f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(c))
+            for i, c in enumerate(counts)
+        )
+    _write_csv(sink, ("metric", "bin_index", "bin_low", "bin_high", "count"), rows)
+
+
+def plans_to_json(results: Sequence[GroupPlanResult]) -> list[dict]:
+    """JSON-ready structure plans, one object per group."""
+    return [
+        {
+            "group_id": r.group_id,
+            "start_display_index": r.start_display,
+            "interval": r.plan.interval,
+            "verdict": r.verdict,
+            "structure": r.plan.structure,
+            "metrics": asdict(r.metrics),
+            "entries": [asdict(e) for e in r.plan.entries],
+        }
+        for r in results
+    ]
+
+
 def _summarise(results: list[GroupPlanResult]) -> str:
     still = sum(1 for r in results if r.verdict == STILL)
     return f"{len(results)} group(s): {still} still, {len(results) - still} non-still"
 
 
 def cmd_analyze(args) -> int:
-    if args.hist_bins < 1:
-        raise UsageError("--hist-bins must be >= 1")
-    # checked before the input is read, so a clash writes nothing
-    if args.histogram and _same_file(args.histogram, args.output):
+    # checked before the input is read, so a bad value or a clash writes nothing
+    if not 1 <= args.hist_bins <= MAX_HISTOGRAM_BINS:
+        raise UsageError(f"--hist-bins must lie in [1, {MAX_HISTOGRAM_BINS}]")
+    wants_hist = args.histogram is not None
+    if wants_hist and _same_file(args.histogram, args.output):
         raise UsageError("--histogram names the file the CSV goes to")
     results = _analysed_groups(args)
-    # the sidecar opens first, so a bad path fails before any output is written
-    hist = _output(args.histogram, "w") if args.histogram else nullcontext()
-    with hist as hist_out, _output(args.output, "w") as out:
+    # the histogram is built before any output is opened, and the sidecar
+    # opens first, so neither a failed build nor a bad path writes anything
+    hist = io.StringIO()
+    if wants_hist:
+        dump_metric_histograms([r.metrics for r in results], hist, args.hist_bins)
+    hist_file = _output(args.histogram, "w") if wants_hist else nullcontext()
+    with hist_file as hist_out, _output(args.output, "w") as out:
         dump_group_metrics(results, out)
-        if args.histogram:
-            dump_metric_histograms(
-                [r.metrics for r in results], hist_out, bins=args.hist_bins
-            )
+        if wants_hist:
+            hist_out.write(hist.getvalue())
     print(_summarise(results), file=sys.stderr)
     return EXIT_OK
 
@@ -250,11 +309,10 @@ def cmd_quality(args) -> int:
     )
     mean_psnr_db = math.fsum(psnr_db) / len(psnr_db)
     mean_ssim = math.fsum(ssim) / len(ssim)
+    rows = [(i, f"{p:.6f}", f"{s:.8f}") for i, (p, s) in enumerate(zip(psnr_db, ssim))]
+    rows.append(("mean", f"{mean_psnr_db:.6f}", f"{mean_ssim:.8f}"))
     with _output(args.output, "w") as out:
-        out.write("frame,psnr_db,ssim\n")
-        for i, (p, s) in enumerate(zip(psnr_db, ssim)):
-            out.write(f"{i},{p:.6f},{s:.8f}\n")
-        out.write(f"mean,{mean_psnr_db:.6f},{mean_ssim:.8f}\n")
+        _write_csv(out, ("frame", "psnr_db", "ssim"), rows)
     print(
         f"{len(psnr_db)} frame(s): mean PSNR {mean_psnr_db:.3f} dB, "
         f"mean SSIM {mean_ssim:.5f}",

@@ -335,13 +335,16 @@ def analyze_frame(
     spread is the population standard deviation of the zero-vector SSE
     over all blocks, padded blocks included.
     """
+    # checked before padding, as motion_search checks, so the messages match
+    check_pair(cur, prev, ("current", "reference"), 1)
     cfg = cfg or SearchConfig()
     bs = cfg.block_size
+    # each frame is padded once: motion_search leaves a padded pair as it is
+    cur, prev = (pad_to_block_grid(f, bs) for f in (cur, prev))
     mv, best, zero = motion_search(cur, prev, cfg)
-    padded = pad_to_block_grid(cur, bs)
     total, total_sq = np.empty((2, *best.shape), np.int64)
-    for b, p in _bands(*padded.shape, bs):
-        samples = padded[p].astype(np.int32, order="C")
+    for b, p in _bands(*cur.shape, bs):
+        samples = cur[p].astype(np.int32, order="C")
         total[b] = _block_sums(samples, bs)
         samples *= samples  # a 32x32 block of squares stays below 2**31
         total_sq[b] = _block_sums(samples, bs)

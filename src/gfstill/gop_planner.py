@@ -21,19 +21,17 @@ included, raises ValueError.
 
 from __future__ import annotations
 
-import csv
 import enum
 from bisect import bisect
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .first_pass import SearchConfig, analyze_frame
 from .parallel import cpus, ordered_map
 from .stillness import (
-    METRIC_NAMES,
     NON_STILL,
     STILL,
     GfGroupMetrics,
@@ -214,7 +212,7 @@ def plan_group(interval: int, verdict: str) -> GfGroupPlan:
     def code(display: int, role: FrameRole, layer: int) -> None:
         # coded[:i] precedes display, nearest last; coded[i:] follows it
         i = bisect(coded, display)
-        # refs are inserted in REF_SLOTS order; plans_to_json keeps that order
+        # refs are inserted in REF_SLOTS order, which the plan JSON keeps
         refs = dict(zip(PAST_SLOTS, reversed(coded[:i])))
         refs["GOLDEN"] = 0
         if not still:
@@ -260,16 +258,14 @@ def plan_group(interval: int, verdict: str) -> GfGroupPlan:
     return GfGroupPlan(interval, SINGLE_LAYER if still else MULTILAYER, entries)
 
 
-def validate_plan(
-    plan: GfGroupPlan, buffer_slots: int = REF_BUFFER_SLOTS
-) -> list[PlanViolation]:
+def validate_plan(plan: GfGroupPlan) -> list[PlanViolation]:
     """Check a plan's structural sanity; returns all violations found, so an
     empty list means the plan is valid.
 
     Checks, by name: "decode_order" (encode orders are 0..n-1, and nothing
     references or shows a display before it is coded), "coverage" (each
     display 1..interval coded once, overlays aside), "buffer" (at most
-    buffer_slots references live), "structure" (no pyramid roles in a
+    REF_BUFFER_SLOTS references live), "structure" (no pyramid roles in a
     single-layer plan) and "slot_direction" (known slots, each pointing the
     way its name says).  The list holds the two whole-plan checks first, then
     what one replay of the entries finds, in encode order.
@@ -334,12 +330,12 @@ def validate_plan(
                 )
             )
         live = len(needed & coded)
-        if live > buffer_slots:
+        if live > REF_BUFFER_SLOTS:
             violations.append(
                 PlanViolation(
                     "buffer",
                     f"{live} references live at encode {order}, "
-                    f"budget is {buffer_slots}",
+                    f"budget is {REF_BUFFER_SLOTS}",
                 )
             )
         if flat and e.role in (FrameRole.EXTRA_ALTREF, FrameRole.BWDREF):
@@ -421,33 +417,3 @@ def plan_sequence(
             )
         )
     return results
-
-
-def plans_to_json(results: list[GroupPlanResult]) -> list[dict]:
-    """JSON-ready structure plans, one object per group."""
-    return [
-        {
-            "group_id": r.group_id,
-            "start_display_index": r.start_display,
-            "interval": r.plan.interval,
-            "verdict": r.verdict,
-            "structure": r.plan.structure,
-            "metrics": asdict(r.metrics),
-            "entries": [asdict(e) for e in r.plan.entries],
-        }
-        for r in results
-    ]
-
-
-def dump_group_metrics(results: Sequence[GroupPlanResult], sink: IO[str]) -> int:
-    """Write the per-group calibration CSV, one row per planned group;
-    returns the data row count."""
-    writer = csv.writer(sink, lineterminator="\n")
-    header = ("group_id", "first_display_index", "interval", *METRIC_NAMES, "verdict")
-    writer.writerow(header)
-    for r in results:
-        metrics = (f"{getattr(r.metrics, name):.6f}" for name in METRIC_NAMES)
-        writer.writerow(
-            (r.group_id, r.start_display, r.metrics.interval, *metrics, r.verdict)
-        )
-    return len(results)

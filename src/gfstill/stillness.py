@@ -7,12 +7,9 @@ prediction error is small, and the zero-vector error is spatially uniform.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .first_pass import FrameFirstPassStats
 
@@ -20,8 +17,6 @@ STILL = "still"
 NON_STILL = "non-still"
 
 METRIC_NAMES = ("zero_motion_accumulator", "avg_pixel_error", "avg_error_stdev")
-
-DEFAULT_HISTOGRAM_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -94,37 +89,3 @@ def classify_stillness(
         and metrics.avg_error_stdev < t.error_stdev_max
     )
     return STILL if still else NON_STILL
-
-
-def metric_histograms(
-    metrics: Sequence[GfGroupMetrics], bins: int = DEFAULT_HISTOGRAM_BINS
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Fixed-bin histograms of each metric, bounds taken from the data."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if not metrics:
-        raise ValueError("no metrics to histogram")
-    out = {}
-    for name in METRIC_NAMES:
-        values = np.array([getattr(m, name) for m in metrics], dtype=np.float64)
-        counts, edges = np.histogram(values, bins=bins)
-        out[name] = (edges, counts)
-    return out
-
-
-def dump_metric_histograms(
-    metrics: Sequence[GfGroupMetrics],
-    sink: IO[str],
-    bins: int = DEFAULT_HISTOGRAM_BINS,
-) -> int:
-    """Write per-metric histogram rows as CSV; returns the data row count."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(("metric", "bin_index", "bin_low", "bin_high", "count"))
-    count = 0
-    for name, (edges, counts) in metric_histograms(metrics, bins).items():
-        for i, c in enumerate(counts):
-            writer.writerow(
-                (name, i, f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(c))
-            )
-            count += 1
-    return count

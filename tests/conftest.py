@@ -21,14 +21,9 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+from gfstill.cli import dump_group_metrics, plans_to_json
 from gfstill.first_pass import SearchConfig, analyze_frame
-from gfstill.gop_planner import (
-    GroupPlanResult,
-    dump_group_metrics,
-    plan_group,
-    plans_to_json,
-    segment_groups,
-)
+from gfstill.gop_planner import GroupPlanResult, plan_group, segment_groups
 from gfstill.stillness import (
     StillnessThresholds,
     classify_stillness,

@@ -11,7 +11,14 @@ import pytest
 
 import gfstill
 
-from gfstill.cli import main
+from gfstill.cli import (
+    MAX_HISTOGRAM_BINS,
+    dump_group_metrics,
+    dump_metric_histograms,
+    main,
+)
+from gfstill.gop_planner import GroupPlanResult, plan_group
+from gfstill.stillness import GfGroupMetrics
 from gfstill.synth import SynthSpec, generate
 from gfstill.video_io import write_y4m, y4m_frames
 
@@ -185,6 +192,30 @@ class TestAnalyzeCommand:
 
     def test_bad_hist_bins_is_usage_error(self, static_clip):
         assert run("analyze", static_clip, "--hist-bins", "0") == 1
+
+    @pytest.mark.parametrize("clip_exists", [True, False])
+    def test_huge_hist_bins_is_usage_error(
+        self, clip_exists, static_clip, tmp_path, capsys
+    ):
+        # numpy cannot allocate 10**13 bins and says so at once; the cap
+        # rejects them with nothing written, and a missing input shows that
+        # it does so before the input is read
+        clip = static_clip if clip_exists else str(tmp_path / "missing.y4m")
+        hist = tmp_path / "h.csv"
+        argv = ["analyze", clip, "--histogram", str(hist)]
+        assert run(*argv, "--hist-bins", str(10**13)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not hist.exists()
+        assert captured.err == (
+            f"gfstill: --hist-bins must lie in [1, {MAX_HISTOGRAM_BINS}]\n"
+        )
+
+    def test_hist_bins_at_the_cap(self, static_clip, tmp_path):
+        hist = tmp_path / "h.csv"
+        bins = str(MAX_HISTOGRAM_BINS)
+        assert run("analyze", static_clip, "-o", os.devnull, "--histogram",
+                   str(hist), "--hist-bins", bins) == 0
+        assert hist.read_text().count("\n") == 1 + 3 * MAX_HISTOGRAM_BINS
 
     def test_block_size_warning(self, static_clip, capsys):
         assert run("analyze", static_clip, "--block-size", "8") == 0
@@ -543,6 +574,18 @@ class TestOutputFile:
         assert captured.err.startswith("gfstill: ") and not out.exists()
 
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_empty_histogram_path_writes_nothing(
+        self, to_file, static_clip, tmp_path, capsys
+    ):
+        # an empty path cannot be opened, like any other such path
+        out = tmp_path / "out.csv"
+        argv = ["analyze", static_clip, "--histogram", ""]
+        assert run(*argv, *(["-o", str(out)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gfstill: ") and not out.exists()
+
     @pytest.mark.parametrize("clip_exists", [True, False])
     def test_histogram_on_the_output_path_is_usage_error(
         self, clip_exists, static_clip, tmp_path, monkeypatch, capsys
@@ -665,6 +708,87 @@ class TestOutputFile:
         assert captured.out == ""
         assert captured.err.startswith("gfstill: ") and captured.err.count("\n") == 1
         assert good.read_text() == "kept\n"
+
+
+class TestDump:
+    """The report writers, called on the library's data."""
+
+    @staticmethod
+    def _metrics(zm, ape, aes, interval=16):
+        return GfGroupMetrics(interval, zm, ape, aes)
+
+    @staticmethod
+    def _histogram(metrics, bins) -> dict[str, list[tuple[float, float, int]]]:
+        sink = io.StringIO()
+        dump_metric_histograms(metrics, sink, bins=bins)
+        table: dict[str, list[tuple[float, float, int]]] = {}
+        for line in sink.getvalue().splitlines()[1:]:
+            name, i, low, high, count = line.split(",")
+            assert int(i) == len(table.setdefault(name, []))
+            table[name].append((float(low), float(high), int(count)))
+        return table
+
+    def test_csv_layout_frozen(self):
+        results = [
+            GroupPlanResult(
+                1, 1, self._metrics(1.0, 0.0, 0.0), "still", plan_group(16, "still")
+            ),
+            GroupPlanResult(
+                2,
+                17,
+                self._metrics(0.25, 12.5, 3000.0, interval=9),
+                "non-still",
+                plan_group(9, "non-still"),
+            ),
+        ]
+        sink = io.StringIO()
+        dump_group_metrics(results, sink)
+        assert sink.getvalue() == (
+            "group_id,first_display_index,interval,zero_motion_accumulator,"
+            "avg_pixel_error,avg_error_stdev,verdict\n"
+            "1,1,16,1.000000,0.000000,0.000000,still\n"
+            "2,17,9,0.250000,12.500000,3000.000000,non-still\n"
+        )
+
+    def test_empty_dump_is_header_only(self):
+        sink = io.StringIO()
+        dump_group_metrics([], sink)
+        assert sink.getvalue().count("\n") == 1
+
+    def test_histogram_counts_sum_to_group_count(self):
+        metrics = [self._metrics(i / 20.0, i * 2.0, i * 50.0) for i in range(10)]
+        table = self._histogram(metrics, bins=5)
+        assert len(table) == 3
+        for rows in table.values():
+            assert sum(count for _, _, count in rows) == 10
+            assert len(rows) == 5
+            # 5 bins share 6 edges
+            assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+
+    def test_histogram_degenerate_range(self):
+        table = self._histogram([self._metrics(0.5, 10.0, 100.0)] * 3, bins=4)
+        for rows in table.values():
+            assert sum(count for _, _, count in rows) == 3
+
+    def test_histogram_csv_rows(self):
+        metrics = [self._metrics(i / 20.0, i * 2.0, i * 50.0) for i in range(10)]
+        sink = io.StringIO()
+        dump_metric_histograms(metrics, sink, bins=5)
+        lines = sink.getvalue().strip().splitlines()
+        assert lines[0] == "metric,bin_index,bin_low,bin_high,count"
+        assert len(lines) == 1 + 3 * 5
+
+    # past the cap numpy is never asked for the bins
+    @pytest.mark.parametrize("bins", [0, MAX_HISTOGRAM_BINS + 1, 10**13])
+    def test_histogram_rejects_bad_bins(self, bins):
+        sink = io.StringIO()
+        with pytest.raises(ValueError):
+            dump_metric_histograms([self._metrics(0.5, 1.0, 1.0)], sink, bins=bins)
+        assert sink.getvalue() == ""
+
+    def test_histogram_rejects_empty(self):
+        with pytest.raises(ValueError):
+            dump_metric_histograms([], io.StringIO(), bins=5)
 
 
 class TestParsing:

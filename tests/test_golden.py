@@ -1,4 +1,5 @@
-"""Byte-exact golden outputs of `gfstill analyze` and `gfstill plan`.
+"""Byte-exact golden outputs of `gfstill analyze` (CSV and histogram) and
+`gfstill plan`.
 
 The files under tests/golden/ pin the CLI's stdout on deterministic
 synthetic clips, so refactors of the first pass, the metrics or the planner
@@ -11,6 +12,7 @@ regenerate them with
 from __future__ import annotations
 
 import io
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -48,6 +50,12 @@ CASES = {
     # keyframes at 12 and 24; the last 8-frame run is re-split 4 + 4
     "cut33.k12_t7.analyze.csv": ("cut33", ["analyze", *NON_DEFAULT_INTERVALS]),
     "cut33.k12_t7.plan.json": ("cut33", ["plan", *NON_DEFAULT_INTERVALS]),
+    # the histogram sidecar alone reaches stdout
+    "cut33.k12_t7.bins6.histogram.csv": (
+        "cut33",
+        ["analyze", *NON_DEFAULT_INTERVALS, "-o", os.devnull, "--histogram", "-",
+         "--hist-bins", "6"],
+    ),
     "static_noise_100x76.bs32_r12.plan.json": (
         "static_noise_100x76",
         ["plan", "--block-size", "32", "--search-range", "12"],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfstill import gop_planner
+from gfstill.cli import plans_to_json
 from gfstill.first_pass import SearchConfig, analyze_frame
 from gfstill.gop_planner import (
     MAX_GROUP_INTERVAL,
@@ -22,7 +24,6 @@ from gfstill.gop_planner import (
     PlanEntry,
     plan_group,
     plan_sequence,
-    plans_to_json,
     segment_groups,
     validate_plan,
 )
@@ -311,10 +312,35 @@ class TestValidation:
         violations = validate_plan(plan)
         assert any(v.check == "coverage" for v in violations)
 
+    @staticmethod
+    def _reshown_plan(shown: int) -> GfGroupPlan:
+        # displays 1..REF_BUFFER_SLOTS + 1 are coded with no references, then
+        # overlays show the first `shown` again, so all `shown` are live at
+        # the first overlay
+        interval = REF_BUFFER_SLOTS + 1
+        entries = [
+            PlanEntry(d, d - 1, FrameRole.REGULAR, 2) for d in range(1, interval + 1)
+        ]
+        entries += [
+            PlanEntry(d, interval + d - 1, FrameRole.OVERLAY, 1, show_existing=True)
+            for d in range(1, shown + 1)
+        ]
+        return GfGroupPlan(interval, SINGLE_LAYER, entries)
+
     def test_buffer_budget_enforced(self):
-        plan = plan_group(16, "still")
-        violations = validate_plan(plan, buffer_slots=2)
-        assert any(v.check == "buffer" for v in violations)
+        plan = self._reshown_plan(REF_BUFFER_SLOTS + 1)
+        assert max_live_references(plan) == REF_BUFFER_SLOTS + 1
+        violations = validate_plan(plan)
+        assert [v.check for v in violations] == ["buffer"]
+        assert violations[0].message == (
+            f"{REF_BUFFER_SLOTS + 1} references live at encode "
+            f"{REF_BUFFER_SLOTS + 1}, budget is {REF_BUFFER_SLOTS}"
+        )
+
+    def test_a_full_buffer_is_within_budget(self):
+        plan = self._reshown_plan(REF_BUFFER_SLOTS)
+        assert max_live_references(plan) == REF_BUFFER_SLOTS
+        assert validate_plan(plan) == []
 
     def test_pyramid_role_in_flat_plan_flagged(self):
         plan = plan_group(4, "still")
@@ -372,12 +398,14 @@ class TestValidation:
                 e.show_existing = not e.show_existing
         entries = data.draw(st.permutations(plan.entries))
         shuffled = GfGroupPlan(plan.interval, plan.structure, entries)
+        # the budget is a module constant; every budget up to 9 is tried
         for budget in range(10):
-            violations = validate_plan(plan, budget)
+            with mock.patch.object(gop_planner, "REF_BUFFER_SLOTS", budget):
+                violations = validate_plan(plan)
+                # encode orders stay distinct, so list order depends on them alone
+                assert validate_plan(shuffled) == violations
             flagged = any(v.check == "buffer" for v in violations)
             assert flagged == (max_live_references(plan) > budget)
-            # encode orders stay distinct, so list order depends on them alone
-            assert validate_plan(shuffled, budget) == violations
 
 
 class TestPlanSequence:

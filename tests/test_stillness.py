@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import math
 import random
 
@@ -9,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfstill.first_pass import FrameFirstPassStats
-from gfstill.gop_planner import GroupPlanResult, dump_group_metrics, plan_group
 from gfstill.stillness import (
     GfGroupMetrics,
     StillnessThresholds,
     classify_stillness,
     compute_group_metrics,
-    dump_metric_histograms,
-    metric_histograms,
 )
 
 
@@ -197,64 +193,8 @@ class TestClassification:
     @pytest.mark.parametrize("name", ["avg_pixel_error", "avg_error_stdev"])
     def test_nan_error_metric_rejected(self, name):
         # NaN passed a `< 0` test, classified as non-still and later broke
-        # metric_histograms
+        # the histogram writer
         errors = {"avg_pixel_error": 0.0, "avg_error_stdev": 0.0, name: math.nan}
         with pytest.raises(ValueError, match="non-negative"):
             GfGroupMetrics(4, 0.95, **errors)
 
-
-class TestDump:
-    def test_csv_layout_frozen(self):
-        results = [
-            GroupPlanResult(
-                1, 1, _metrics(1.0, 0.0, 0.0), "still", plan_group(16, "still")
-            ),
-            GroupPlanResult(
-                2,
-                17,
-                _metrics(0.25, 12.5, 3000.0, interval=9),
-                "non-still",
-                plan_group(9, "non-still"),
-            ),
-        ]
-        sink = io.StringIO()
-        assert dump_group_metrics(results, sink) == 2
-        assert sink.getvalue() == (
-            "group_id,first_display_index,interval,zero_motion_accumulator,"
-            "avg_pixel_error,avg_error_stdev,verdict\n"
-            "1,1,16,1.000000,0.000000,0.000000,still\n"
-            "2,17,9,0.250000,12.500000,3000.000000,non-still\n"
-        )
-
-    def test_empty_dump_is_header_only(self):
-        sink = io.StringIO()
-        assert dump_group_metrics([], sink) == 0
-        assert sink.getvalue().count("\n") == 1
-
-    def test_histogram_counts_sum_to_group_count(self):
-        metrics = [_metrics(i / 20.0, i * 2.0, i * 50.0) for i in range(10)]
-        for name, (edges, counts) in metric_histograms(metrics, bins=5).items():
-            assert counts.sum() == 10
-            assert len(edges) == 6
-
-    def test_histogram_degenerate_range(self):
-        metrics = [_metrics(0.5, 10.0, 100.0)] * 3
-        for _, (edges, counts) in metric_histograms(metrics, bins=4).items():
-            assert counts.sum() == 3
-
-    def test_histogram_csv_rows(self):
-        metrics = [_metrics(i / 20.0, i * 2.0, i * 50.0) for i in range(10)]
-        sink = io.StringIO()
-        rows = dump_metric_histograms(metrics, sink, bins=5)
-        assert rows == 3 * 5
-        lines = sink.getvalue().strip().splitlines()
-        assert lines[0] == "metric,bin_index,bin_low,bin_high,count"
-        assert len(lines) == 1 + rows
-
-    def test_histogram_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            metric_histograms([_metrics(0.5, 1.0, 1.0)], bins=0)
-
-    def test_histogram_rejects_empty(self):
-        with pytest.raises(ValueError):
-            metric_histograms([], bins=5)

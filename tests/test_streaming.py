@@ -19,13 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfstill import gop_planner
-from gfstill.cli import main
+from gfstill.cli import main, plans_to_json
 from gfstill.first_pass import SearchConfig
 from gfstill.gop_planner import (
     MAX_GROUP_INTERVAL,
     MIN_GROUP_INTERVAL,
     plan_sequence,
-    plans_to_json,
 )
 from gfstill.quality import psnr, sequence_quality, ssim
 from gfstill.synth import SynthSpec, generate
