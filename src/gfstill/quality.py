@@ -3,7 +3,8 @@
 All metrics operate on 8-bit luma given as 2-D uint8 arrays.  Sequence
 scores are plain arithmetic means of per-frame scores.  SSIM's 11x11
 Gaussian window is separable, so each window mean is a row pass and a
-column pass of one 11-tap filter.
+column pass of one 11-tap filter: the row pass is one correlate over the
+flattened strip of frame rows, the column pass a BLAS matrix-vector product.
 """
 
 from __future__ import annotations
@@ -36,22 +37,22 @@ SSIM_K2 = 0.03
 # (static against static_noise at amplitude 3): the tracemalloc peak of one
 # call; SSIM over the 33 pairs on one thread under `taskset -c 0` (median
 # of 10 alternating fresh processes); and the whole `gfstill quality` run
-# on 2 CPUs (median of 11, quartiles about 50 ms apart):
+# on 2 CPUs (median of 11):
 #
 #   strip rows    call peak MiB          SSIM, 1 CPU   quality, 2 CPUs
 #                 QCIF   CIF    720p     ms            ms    peak RSS MiB
-#   16            0.45   1.27    8.87     601           716   43.41
-#   32            0.65   1.71   10.39     454           568   43.82
-#   64            1.10   2.63   13.49     393           518   44.91
-#   96            1.55   3.36   16.60     359           506   45.71
-#   128           2.00   4.20   19.70     355           503   46.68
-#   256           2.09   7.50   32.14     356           495   52.84
-#   whole frame   2.09   8.08   75.98     330           473   53.75
+#   16            0.40   1.19    8.57     337           536   32.57
+#   32            0.58   1.56    9.97     202           513   33.44
+#   64            0.95   2.32   12.76     184           439   35.52
+#   96            1.32   3.08   15.56     203           434   37.48
+#   128           1.69   3.83   18.36     199           435   39.16
+#   256           1.76   6.86   29.54     206           445   46.09
+#   whole frame   1.76   7.38   69.20     170           429   47.25
 #
-# The whole-frame kernel on one thread reads 351 ms for SSIM and 624 ms,
-# 44.21 MiB for the run.  Each strip filters its extra rows
-# again, so short strips cost time on one CPU; from 96 rows that cost is
-# within the noise, and above it peak RSS grows about 1 MiB per 32 rows.
+# Each strip filters its extra rows again, so short strips cost time; from
+# 64 rows that cost is within the noise on one CPU, but 30 alternating runs
+# of the whole `quality` on 2 CPUs read 421 ms at 64 rows against 399 ms at
+# 96.  Above 96 rows peak RSS grows about 1.7 MiB per 32 rows.
 SSIM_STRIP_ROWS = 96
 
 BD_FIT_DEGREE = 3
@@ -62,8 +63,11 @@ _PAIR = ("reference", "distorted")
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; identical frames return the cap."""
     check_pair(a, b, _PAIR, 1)
-    diff = a.astype(np.int64) - b.astype(np.int64)
-    sse = int(np.einsum("ij,ij->", diff, diff))
+    # a difference of two samples fits int16; its square, at most 255**2 =
+    # 65025, wraps in int16, but its bits read as uint16 are exact
+    diff = np.subtract(a, b, dtype=np.int16)
+    diff *= diff
+    sse = int(diff.view(np.uint16).sum(dtype=np.int64))
     if sse == 0:
         return PSNR_CAP_DB
     mse = sse / a.size
@@ -80,10 +84,47 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
 _SSIM_TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
 
 
-def _window_means(p: np.ndarray) -> np.ndarray:
-    """Gaussian-weighted mean of every fully interior window of `p`."""
-    rows = sliding_window_view(p, SSIM_WINDOW, axis=1) @ _SSIM_TAPS
+def _window_means(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted mean of every fully interior window of `p`, a
+    C-contiguous float64 plane; `rows`, a C-contiguous array of its height
+    and SSIM_WINDOW - 1 fewer columns, receives the row pass.
+
+    The row pass is one correlate over the flattened plane: each output adds
+    its 11 products left to right, as a window dot product does.  Of every
+    width outputs, the last SSIM_WINDOW - 1 straddle two rows and are
+    dropped.  The column pass is a BLAS matrix-vector product over `rows`.
+    """
+    width = p.shape[1]
+    # row r's windows start at output r * width; the correlate's output is
+    # freed before the column pass allocates its own
+    rows[...] = sliding_window_view(
+        np.correlate(p.reshape(-1), _SSIM_TAPS, "valid"), rows.shape[1]
+    )[::width]
     return sliding_window_view(rows, SSIM_WINDOW, axis=0) @ _SSIM_TAPS
+
+
+def _strip_ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """SSIM of every fully interior window of two uint8 strips.  A function
+    of its own, so that one strip's statistics are freed before the next
+    strip's are computed."""
+    x = a.astype(np.float64)
+    y = b.astype(np.float64)
+    row_pass = np.empty((x.shape[0], x.shape[1] - SSIM_WINDOW + 1))
+    mu_x = _window_means(x, row_pass)
+    mu_y = _window_means(y, row_pass)
+    sigma_xy = _window_means(x * y, row_pass)
+    sigma_xy -= mu_x * mu_y
+    # past x * y each strip is needed only for its own square
+    sigma_x = _window_means(np.multiply(x, x, out=x), row_pass)
+    sigma_x -= mu_x * mu_x
+    sigma_y = _window_means(np.multiply(y, y, out=y), row_pass)
+    sigma_y -= mu_y * mu_y
+    del x, y, row_pass
+    c1 = (SSIM_K1 * PEAK) ** 2
+    c2 = (SSIM_K2 * PEAK) ** 2
+    return ((2.0 * mu_x * mu_y + c1) * (2.0 * sigma_xy + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (sigma_x + sigma_y + c2)
+    )
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -96,22 +137,11 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     rows of the frames, so the float temporaries stay a strip in size.
     """
     check_pair(a, b, _PAIR, SSIM_WINDOW)
-    c1 = (SSIM_K1 * PEAK) ** 2
-    c2 = (SSIM_K2 * PEAK) ** 2
     height, width = a.shape
     score = np.empty((height - SSIM_WINDOW + 1, width - SSIM_WINDOW + 1))
     for top in range(0, score.shape[0], SSIM_STRIP_ROWS):
         rows = slice(top, top + SSIM_STRIP_ROWS + SSIM_WINDOW - 1)
-        x = a[rows].astype(np.float64)
-        y = b[rows].astype(np.float64)
-        mu_x = _window_means(x)
-        mu_y = _window_means(y)
-        sigma_x = _window_means(x * x) - mu_x * mu_x
-        sigma_y = _window_means(y * y) - mu_y * mu_y
-        sigma_xy = _window_means(x * y) - mu_x * mu_y
-        score[top : top + SSIM_STRIP_ROWS] = (
-            (2.0 * mu_x * mu_y + c1) * (2.0 * sigma_xy + c2)
-        ) / ((mu_x * mu_x + mu_y * mu_y + c1) * (sigma_x + sigma_y + c2))
+        score[top : top + SSIM_STRIP_ROWS] = _strip_ssim(a[rows], b[rows])
     return float(np.mean(score))
 
 

@@ -24,8 +24,8 @@ _OCTAVES = ((32, 0.55), (8, 0.30), (4, 0.15))
 
 _U64 = np.uint64
 
-# samples in each band of rows a noise frame is rendered in: its buffers stay
-# in cache and a frame job allocates no frame-sized temporary
+# samples in each band of rows a noise frame or base image is rendered in:
+# its buffers stay in cache and no frame-sized float temporary is allocated
 _BAND_SAMPLES = 2**16
 
 
@@ -86,8 +86,9 @@ def _hash01(seed: int, tag: int, height: int, width: int) -> np.ndarray:
 
 
 def _value_noise(seed: int, tag: int, width: int, height: int) -> np.ndarray:
-    """Multi-octave bilinear value noise quantised to uint8."""
-    acc = np.zeros((height, width), dtype=np.float64)
+    """Multi-octave bilinear value noise quantised to uint8, a band of rows
+    at a time."""
+    octaves = []
     for octave, (wavelength, weight) in enumerate(_OCTAVES):
         j, ty = np.divmod(np.arange(height), wavelength)
         i, tx = np.divmod(np.arange(width), wavelength)
@@ -97,8 +98,17 @@ def _value_noise(seed: int, tag: int, width: int, height: int) -> np.ndarray:
         # interpolate along each lattice row once, then between the rows:
         # the same operations on the same operands as at each pixel's corners
         rows = lattice[:, i] * (1.0 - tx) + lattice[:, i + 1] * tx
-        acc += weight * (rows[j] * (1.0 - ty) + rows[j + 1] * ty)
-    return np.clip(np.rint(acc * 255.0), 0, 255).astype(np.uint8)
+        octaves.append((weight, rows, j, ty))
+    image = np.empty((height, width), np.uint8)
+    band_rows = max(1, _BAND_SAMPLES // width)
+    for y in range(0, height, band_rows):
+        band = np.s_[y : y + band_rows]
+        acc = np.zeros(image[band].shape)
+        for weight, rows, j, ty in octaves:
+            jb, tyb = j[band], ty[band]
+            acc += weight * (rows[jb] * (1.0 - tyb) + rows[jb + 1] * tyb)
+        image[band] = np.clip(np.rint(acc * 255.0), 0, 255)
+    return image
 
 
 def _noise_frame(

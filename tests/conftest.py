@@ -4,6 +4,8 @@ The oracles here deliberately avoid the library's vectorised code paths:
 the motion-search oracles are a plain nested scan and a one-block diamond
 walk with no cache, plus an unpruned whole-frame scan fast enough for real
 frame sizes, and the SSIM oracle walks windows one by one.  They define what the fast implementations must match.
+The SSIM window-mean reference adds each window's 11 row products left to
+right in elementwise steps, the order the correlate row pass must keep.
 The batch pipeline reference holds every frame at once and analyses each
 group's pairs in turn, the way the streamed `plan_sequence` must agree with.
 The synthetic clip reference renders each frame whole, one hash array per
@@ -20,10 +22,12 @@ from typing import Iterable
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gfstill.cli import dump_group_metrics, plans_to_json
 from gfstill.first_pass import SearchConfig, analyze_frame
 from gfstill.gop_planner import GroupPlanResult, plan_group, segment_groups
+from gfstill.quality import _SSIM_TAPS, SSIM_WINDOW
 from gfstill.stillness import (
     StillnessThresholds,
     classify_stillness,
@@ -197,6 +201,21 @@ def ssim_oracle(a: np.ndarray, b: np.ndarray) -> float:
                 / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
             )
     return float(np.mean(scores))
+
+
+def reference_window_means(p: np.ndarray) -> np.ndarray:
+    """`gfstill.quality._window_means` of the float64 plane `p`.
+
+    The row pass starts each window at 0.0 and adds its products tap by tap,
+    left to right, one whole-plane step a tap; the column pass is the
+    matrix-vector product over the C-contiguous row pass that `_window_means`
+    hands BLAS, so only the row pass is written out here.
+    """
+    width = p.shape[1] - SSIM_WINDOW + 1
+    rows = np.zeros((p.shape[0], width))
+    for k, tap in enumerate(_SSIM_TAPS):
+        rows += p[:, k : k + width] * tap
+    return sliding_window_view(rows, SSIM_WINDOW, axis=0) @ _SSIM_TAPS
 
 
 def psnr_oracle(a: np.ndarray, b: np.ndarray) -> float:

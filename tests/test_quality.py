@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,23 @@ from gfstill.quality import (
 )
 from gfstill.synth import SynthSpec, generate
 
-from conftest import NOT_LUMA, psnr_oracle, random_plane, ssim_oracle
+from conftest import (
+    NOT_LUMA,
+    psnr_oracle,
+    random_plane,
+    reference_window_means,
+    ssim_oracle,
+)
+
+
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPsnr:
@@ -57,6 +74,13 @@ class TestPsnr:
         a = np.zeros((16, 16), np.uint8)
         b = np.full((16, 16), 255, np.uint8)
         assert psnr(a, b) == pytest.approx(0.0, abs=1e-12)
+
+    def test_peaks_at_2_5_bytes_a_pixel(self, rng):
+        # one int16 difference, squared in place: 2.07 bytes a pixel at 720p
+        # (numpy 2.4), against 16 with int64 copies of both frames
+        a = random_plane(rng, 1280, 720)
+        b = random_plane(rng, 1280, 720)
+        assert _traced_peak(psnr, a, b) <= 2.5 * a.size
 
     @pytest.mark.parametrize("bad", NOT_LUMA)
     def test_rejects_frames_that_are_not_2d_uint8(self, bad):
@@ -109,6 +133,15 @@ class TestSsim:
         strips = ssim(a, b)
         monkeypatch.setattr(quality, "SSIM_STRIP_ROWS", height)
         assert ssim(a, b) == strips
+
+    @pytest.mark.parametrize("width, height, mib", [(352, 288, 3.4), (1280, 720, 16.7)])
+    def test_one_call_peaks_at_a_strip_of_temporaries(self, width, height, mib, rng):
+        # the whole-frame scores and one strip's statistics, each strip's
+        # freed before the next: 3.08 MiB at CIF and 15.56 MiB at 720p
+        # (numpy 2.4), against 3.36 and 16.60 while they lived into the next
+        a = random_plane(rng, width, height)
+        b = random_plane(rng, width, height)
+        assert _traced_peak(ssim, a, b) <= mib * 2**20
 
     def test_noise_scores_below_clean(self, rng):
         base = random_plane(rng, 48, 48)
@@ -172,6 +205,45 @@ class TestSsimOracleProperty:
         assert abs(value - ssim_oracle(a, b)) <= 1e-9
         assert ssim(b, a) == value
         assert ssim(a, a) == 1.0 and ssim(b, b) == 1.0
+
+
+def _window_plane(content, height, width, seed):
+    rng = np.random.default_rng(seed)
+    shape = (height, width)
+    if content == "random":
+        return rng.integers(0, 256, shape).astype(np.float64)
+    if content == "zeros":
+        return np.zeros(shape)
+    if content == "max_square":
+        return np.full(shape, 255.0 * 255.0)
+    # "product": the cross term x * y of two random frames
+    x, y = rng.integers(0, 256, (2, *shape)).astype(np.float64)
+    return x * y
+
+
+class TestWindowMeans:
+    @given(
+        case=st.tuples(
+            st.sampled_from(["random", "zeros", "max_square", "product"]),
+            st.integers(11, 3 * SSIM_STRIP_ROWS + 20),
+            st.integers(11, 400),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+    # one window wide, where the row pass keeps one output a row, and high
+    @example(case=("random", 40, 11, 1))
+    @example(case=("product", 11, 11, 2))
+    @example(case=("max_square", 11, 400, 0))
+    @example(case=("product", 3 * SSIM_STRIP_ROWS + 20, 400, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_left_to_right_reference_exactly(self, case):
+        p = _window_plane(*case)
+        # every sample of the row-pass buffer must be written
+        rows = np.full((p.shape[0], p.shape[1] - 10), np.nan)
+        got = quality._window_means(p, rows)
+        want = reference_window_means(p)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 PAIRS = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]

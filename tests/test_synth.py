@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,18 @@ class TestRenderer:
             want = np.where(u > 1.5, 255, np.where(u < 1.5, 0, base))
             assert np.array_equal(frame, want)
             assert {0, 255} <= set(np.unique(frame))
+
+    def test_base_image_peaks_under_10_bytes_a_pixel(self):
+        # each octave's interpolated lattice rows and one band of floats:
+        # 7.9 bytes a pixel at 1080p (numpy 2.4), against 34.6 when the
+        # octaves were summed over the whole frame
+        tracemalloc.start()
+        try:
+            synth._value_noise(0, 0, 1920, 1080)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 1920 * 1080
 
     @pytest.mark.parametrize("kind, width, height", CLIP_SHA256)
     def test_pinned_clip_digests(self, kind, width, height):
