@@ -26,14 +26,18 @@ _LDSP = np.array(((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-
 _SDSP = np.array(((0, -1), (1, 0), (0, 1), (-1, 0)))
 
 # (block, vector) pairs a tile of the exhaustive search bounds at once, about
-# 20 bytes each.  ms per call on one CPU (median of 5 runs; pan at 4, noise
-# is static_noise at 2) and analyze_frame's tracemalloc peak at block 16,
-# range 8 on static_noise, on a 2-CPU x86-64 host with numpy 2.4:
+# 10 bytes each below block 32 and 20 at it.  ms per call on one CPU (median
+# over 7 rounds, each running the four sizes in turn, of the median of 5
+# calls; pan at 4, noise is static_noise at 2) and analyze_frame's
+# tracemalloc peak at block 16, range 8 on static_noise, on a 2-CPU x86-64
+# host with numpy 2.4:
 #   tile    CIF b16 r8, r32   720p b16 r8, r32   720p noise b8   MiB CIF, 720p
-#   2**14       5.1  40.1         43.8  326            158          0.7   3.2
-#   2**15       3.9  34.2         35.0  262            147          1.1   3.4
-#   2**16       3.6  31.5         29.2  235            117          1.8   3.9
-#   2**17       3.6  30.7         28.6  247            110          3.0   5.4
+#   2**14       2.7  19.2         25.5  145             81          0.6   3.1
+#   2**15       2.1  15.6         20.7  110             66          0.8   3.2
+#   2**16       2.0  14.5         18.7   95             54          1.2   3.6
+#   2**17       1.8  10.9         15.4   88             50          2.0   4.5
+# A larger tile is taken only if it gains on every column.  2**17 is faster
+# but holds more, so the tile stays 2**16.
 SEARCH_TILE = 2**16
 
 # Samples in a band of block rows, the unit in which each frame-sized
@@ -168,13 +172,15 @@ def motion_search(
         shape: tuple,
     ) -> np.ndarray:
         """Sum over the sub-blocks (i, j) of (window_sums(i, j) -
-        block_sums[i, j])**2 in int64, of the given shape, block_sums
-        broadcast."""
-        diff = np.empty(shape, np.int32)  # no cast to subtract; squares in int64
-        total, term = np.zeros(shape, np.int64), np.empty(shape, np.int64)
+        block_sums[i, j])**2, of the given shape, block_sums broadcast.
+        Differences are taken in block_sums' type, int16 or int32, and
+        squared and summed in the type twice as wide."""
+        wide = np.dtype(f"i{2 * block_sums.itemsize}")
+        diff = np.empty(shape, block_sums.dtype)
+        total, term = np.zeros(shape, wide), np.empty(shape, wide)
         for i, j in itertools.product((0, 1), (0, 1)):
             np.subtract(window_sums(i, j), block_sums[i, j], out=diff)
-            total += np.square(diff, out=term, dtype=np.int64)
+            total += np.square(diff, out=term, dtype=wide)
         return total
 
     def score(blocks: np.ndarray, codes: np.ndarray) -> None:
@@ -194,8 +200,9 @@ def motion_search(
         """Lower the key of each block to the least over its row of vectors,
         given by their tie codes and bounded by its row of bounds.  Each
         block's least-bound vector is scored first, then those its new key
-        still lets win: a bound below n * the key's SSE, or equal to it (only
-        a tie) with a lower tie code."""
+        still lets win: a bound below the limit n * the key's SSE, or equal
+        to it (only a tie) with a lower tie code.  A bound at its type's
+        maximum, as for a window off the frame, is never scored."""
         seeds = bounds.argmin(axis=1)
         least = bounds[np.arange(blocks.size), seeds]
         live = np.flatnonzero(least <= n * (best[blocks] >> shift))
@@ -205,9 +212,12 @@ def motion_search(
         # a live block's least bound is below the sentinel's: it is in the frame
         score(blocks[live], codes[live, seeds[live]])
         key = best[blocks][:, None]
-        bounds[live, seeds[live]] = n * (key[live, 0] >> shift) + 1  # scored already
+        # n * an SSE is at most 4 * (n * 255)**2, the largest bound, so the
+        # bounds' type holds it
+        limit = (n * (key >> shift)).astype(bounds.dtype)
+        bounds[live, seeds[live]] = limit[live, 0] + 1  # scored already
         bounds -= codes < (key & ties)
-        i, k = np.divmod(np.flatnonzero(bounds < n * (key >> shift)), bounds.shape[1])
+        i, k = np.divmod(np.flatnonzero(bounds < limit), bounds.shape[1])
         score(blocks[i], codes[i, k])
 
     if cfg.search_kind == "diamond":
@@ -254,20 +264,30 @@ def motion_search(
                 break
         step(np.arange(best.size), _SDSP)
     else:
+        # below block 32 a sub-block sum is at most 8 * 8 * 255 = 16,320 and a
+        # bound at most 4 * 16,320**2 < 2**31: int16 sums and int32 bounds
+        table = np.int16 if bs < 32 else np.int32
+        sub_sums = cur_sub.astype(table)
+        # the slices of each tile's bounds whose windows leave the frame at a
+        # side: those of the block columns within rx of it, c from the left
+        # and ~c from the right
+        sides = [np.s_[:, c, :, : rx - c * bs] for c in range(cols) if c * bs < rx]
+        sides += [
+            np.s_[:, ~c, :, rx + c * bs + 1 :] for c in range(cols) if c * bs < rx
+        ]
         # tiles of tb block rows by ty vector rows, those nearest dy = 0 first
         ty = min(ky, max(1, SEARCH_TILE // (cols * kx)))
         tb = max(1, SEARCH_TILE // (cols * kx * ty))
         near = sorted(range(0, ky, ty), key=lambda y0: abs(2 * (y0 - ry) + ty - 1))
         for b0 in range(0, rows, tb):
             nb = min(tb, rows - b0)
-            # the band's rows of sums, padded with 2**20: one such term, over
-            # 2**39, exceeds n * any SSE < 2**34.  A tile whose windows all
-            # leave the frame is skipped, so the rest reach at most a tile's
-            # height past it.
+            # the band's rows of sums, padded with 0 as far as a tile reaches
+            # past the frame: a tile whose windows all leave the frame is
+            # skipped, so the rest reach at most a tile's height past it
             reach = (nb - 1) * bs + ty - 1
             lo = max(b0 * bs - ry, -reach)
             hi = min((b0 + nb - 1) * bs + ry + half, sums.shape[0] - 1 + reach) + 1
-            sub = np.full((hi - lo, sums.shape[1] + 2 * rx), 2**20, np.int32)
+            sub = np.zeros((hi - lo, sums.shape[1] + 2 * rx), table)
             into = np.s_[max(0, -lo) : sums.shape[0] - lo, rx : rx + sums.shape[1]]
             sub[into] = sums[max(0, lo) : hi]
             s0, s1 = sub.strides
@@ -277,14 +297,29 @@ def motion_search(
             span = hi - lo - half - (nb - 1) * bs
             views = as_strided(sub, (2, 2, nb, cols, span, kx), strides)
             blocks = np.arange(b0 * cols, (b0 + nb) * cols)
-            block_sums = cur_sub[:, :, b0 : b0 + tb, :, None, None]
+            block_sums = sub_sums[:, :, b0 : b0 + tb, :, None, None]
             for y0 in near:
                 shape = (nb, cols, min(ty, ky - y0), kx)
                 top = b0 * bs + y0 - ry  # of the tile's first window
-                if top + (nb - 1) * bs + shape[2] - 1 < 0 or top > h - bs:
+                last = h - bs - top  # vector row of the last window in the frame, b = 0
+                if top + (nb - 1) * bs + shape[2] - 1 < 0 or last < 0:
                     continue
                 ys = np.s_[top - lo : top - lo + shape[2]]  # of views
                 bounds = bound(lambda i, j: views[i, j, :, :, ys], block_sums, shape)
+                # windows off the frame read the padding: their bounds go to
+                # the type's maximum.  No block row lies wholly below the frame
+                # (a tile of one would be skipped, a tile of more spans every
+                # vector row), so no bottom slice starts below 0
+                edges = [
+                    np.s_[b, :, : -top - b * bs] for b in range(nb) if top + b * bs < 0
+                ]
+                edges += [
+                    np.s_[b, :, last - b * bs + 1 :]
+                    for b in range(nb)
+                    if last - b * bs < shape[2] - 1
+                ]
+                for edge in edges + sides:
+                    bounds[edge] = np.iinfo(bounds.dtype).max
                 dy, dx = np.divmod(np.arange(shape[2] * kx)[None], kx)
                 codes = tie(dx - rx, dy + y0 - ry)
                 pick(blocks, bounds.reshape(blocks.size, -1), codes)

@@ -109,6 +109,26 @@ class TestBlockSearch:
         _, best, zero = motion_search(cur, ref, cfg)
         assert (best == zero).all() and (zero == 32 * 32 * 255**2).all()
 
+    @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
+    @pytest.mark.parametrize("block_size", [8, 16])
+    @pytest.mark.parametrize("search_range", [8, 32])
+    @pytest.mark.parametrize("dark_current", [True, False])
+    def test_extreme_frames_at_blocks_8_and_16(
+        self, kind, block_size, search_range, dark_current
+    ):
+        # every in-frame sub-block sum is 0 or at its ceiling, 4,080 or
+        # 16,320, so a bound nears 4 * 16,320**2 < 2**31: a sum outside
+        # int16 or a bound outside int32 shows here.  Windows off the frame
+        # read a zero padding, which matches the dark current exactly
+        dark, light = np.zeros((64, 96), np.uint8), np.full((64, 96), 255, np.uint8)
+        cur, ref = (dark, light) if dark_current else (light, dark)
+        cfg = SearchConfig(block_size, search_range, kind)
+        got = motion_search(cur, ref, cfg)
+        for g, w in zip(got, _oracle(cur, ref, cfg)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        _, best, zero = got
+        assert (best == zero).all() and (zero == block_size**2 * 255**2).all()
+
     def test_constant_frames_break_ties_toward_zero(self):
         flat = np.full((48, 64), 77, np.uint8)
         mv, best, zero = motion_search(flat, flat)
@@ -285,6 +305,11 @@ class TestTiles:
             ("shifted", 100, 70, 8, 32, "exhaustive"),
             ("extremes", 1280, 720, 32, 1, "exhaustive"),
             ("pan 8", 1280, 720, 32, 8, "exhaustive"),
+            # narrower than twice the range: in one tile a block row's vector
+            # rows start above the frame and end below it, and its windows
+            # leave both sides
+            ("random", 40, 40, 8, 32, "exhaustive"),
+            ("extremes", 40, 40, 16, 32, "exhaustive"),
             ("shifted", 100, 70, 16, 8, "diamond"),
             ("extremes", 100, 70, 32, 1, "diamond"),
             ("random", 100, 70, 8, 32, "diamond"),
