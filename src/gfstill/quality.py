@@ -3,8 +3,10 @@
 All metrics operate on 8-bit luma given as 2-D uint8 arrays.  Sequence
 scores are plain arithmetic means of per-frame scores.  SSIM's 11x11
 Gaussian window is separable, so each window mean is a row pass and a
-column pass of one 11-tap filter: the row pass is one correlate over the
-flattened strip of frame rows, the column pass a BLAS matrix-vector product.
+column pass of one 11-tap filter.  SSIM needs the window means of four
+planes of a strip of frame rows, x, y, x*y and x^2 + y^2, filtered as one
+stack: the row pass is one correlate over the flattened stack, the column
+pass BLAS matrix-vector products.
 """
 
 from __future__ import annotations
@@ -34,25 +36,27 @@ SSIM_K2 = 0.03
 # of one call stay a strip in size, and frame pairs scored at once on
 # several threads hold little more than one whole-frame call.  Measured
 # on a 2-CPU x86-64 Linux host with numpy 2.4, on two 33-frame CIF clips
-# (static against static_noise at amplitude 3): the tracemalloc peak of one
-# call; SSIM over the 33 pairs on one thread under `taskset -c 0` (median
-# of 10 alternating fresh processes); and the whole `gfstill quality` run
-# on 2 CPUs (median of 11):
+# (static against static_noise at amplitude 3), with the CLI's malloc
+# thresholds: the tracemalloc peak of one call; SSIM over the 33 pairs on
+# one thread under `taskset -c 0` (median of 10 alternating fresh
+# processes); and the `cli.main` call of `gfstill quality` on 2 CPUs with
+# the process's peak RSS (median of 11 alternating fresh processes):
 #
 #   strip rows    call peak MiB          SSIM, 1 CPU   quality, 2 CPUs
 #                 QCIF   CIF    720p     ms            ms    peak RSS MiB
-#   16            0.40   1.19    8.57     337           536   32.57
-#   32            0.58   1.56    9.97     202           513   33.44
-#   64            0.95   2.32   12.76     184           439   35.52
-#   96            1.32   3.08   15.56     203           434   37.48
-#   128           1.69   3.83   18.36     199           435   39.16
-#   256           1.76   6.86   29.54     206           445   46.09
-#   whole frame   1.76   7.38   69.20     170           429   47.25
+#   16            0.46   1.29    8.92     135           166   33.47
+#   32            0.63   1.63   10.17     114           134   34.26
+#   48            0.80   1.98   11.42     102           110   35.03
+#   64            0.97   2.32   12.67      99           111   36.05
+#   96            1.31   3.01   15.17     107           108   37.77
+#   128           1.65   3.69   17.67     106           104   39.45
+#   256           1.72   6.44   27.66     108           113   46.30
+#   whole frame   1.72   6.92   63.13     107           107   47.38
 #
-# Each strip filters its extra rows again, so short strips cost time; from
-# 64 rows that cost is within the noise on one CPU, but 30 alternating runs
-# of the whole `quality` on 2 CPUs read 421 ms at 64 rows against 399 ms at
-# 96.  Above 96 rows peak RSS grows about 1.7 MiB per 32 rows.
+# Each strip filters its extra rows again, so short strips cost time.  48
+# and 64 rows were faster on one CPU, but 30 alternating runs of the
+# `quality` call on 2 CPUs read 126 and 122 ms at 48 and 64 rows against
+# 116 ms at 96.  Above 96 rows peak RSS grows about 1.7 MiB per 32 rows.
 SSIM_STRIP_ROWS = 96
 
 BD_FIT_DEGREE = 3
@@ -85,46 +89,67 @@ _SSIM_TAPS = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
 
 
 def _window_means(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Gaussian-weighted mean of every fully interior window of `p`, a
-    C-contiguous float64 plane; `rows`, a C-contiguous array of its height
-    and SSIM_WINDOW - 1 fewer columns, receives the row pass.
+    """Gaussian-weighted mean of every fully interior window of each plane
+    of `p`, a C-contiguous float64 plane or stack of planes; `rows`, a
+    C-contiguous array of its shape with SSIM_WINDOW - 1 fewer columns,
+    receives the row pass and may share `p`'s buffer.
 
-    The row pass is one correlate over the flattened plane: each output adds
+    The row pass is one correlate over the flattened stack: each output adds
     its 11 products left to right, as a window dot product does.  Of every
-    width outputs, the last SSIM_WINDOW - 1 straddle two rows and are
-    dropped.  The column pass is a BLAS matrix-vector product over `rows`.
+    width outputs, the last SSIM_WINDOW - 1 straddle two rows or planes and
+    are dropped; the correlate has read all of `p` before the kept ones are
+    copied.  The column pass is one matrix-vector product a window row over
+    `rows`, so each plane's means have the bits they have on their own.
     """
-    width = p.shape[1]
-    # row r's windows start at output r * width; the correlate's output is
-    # freed before the column pass allocates its own
-    rows[...] = sliding_window_view(
-        np.correlate(p.reshape(-1), _SSIM_TAPS, "valid"), rows.shape[1]
+    width = p.shape[-1]
+    # plane k's row r starts at output (k * height + r) * width; the
+    # correlate's output is freed before the column pass allocates its own
+    rows.reshape(-1, rows.shape[-1])[...] = sliding_window_view(
+        np.correlate(p.reshape(-1), _SSIM_TAPS, "valid"), rows.shape[-1]
     )[::width]
-    return sliding_window_view(rows, SSIM_WINDOW, axis=0) @ _SSIM_TAPS
+    return sliding_window_view(rows, SSIM_WINDOW, axis=-2) @ _SSIM_TAPS
 
 
 def _strip_ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """SSIM of every fully interior window of two uint8 strips.  A function
     of its own, so that one strip's statistics are freed before the next
-    strip's are computed."""
-    x = a.astype(np.float64)
-    y = b.astype(np.float64)
-    row_pass = np.empty((x.shape[0], x.shape[1] - SSIM_WINDOW + 1))
-    mu_x = _window_means(x, row_pass)
-    mu_y = _window_means(y, row_pass)
-    sigma_xy = _window_means(x * y, row_pass)
-    sigma_xy -= mu_x * mu_y
-    # past x * y each strip is needed only for its own square
-    sigma_x = _window_means(np.multiply(x, x, out=x), row_pass)
-    sigma_x -= mu_x * mu_x
-    sigma_y = _window_means(np.multiply(y, y, out=y), row_pass)
-    sigma_y -= mu_y * mu_y
-    del x, y, row_pass
+    strip's are computed.
+
+    SSIM's denominator needs sigma_x^2 + sigma_y^2 only as a sum, so four
+    planes are filtered, x, y, x * y and x^2 + y^2, as one stack; all four
+    hold exact integers.  The row pass goes back into the stack's buffer.
+    """
+    height, width = a.shape
+    stack = np.empty((4, height, width))
+    x, y, xy, sq = stack
+    x[...] = a
+    y[...] = b
+    np.multiply(x, y, out=xy)
+    np.multiply(x, x, out=sq)
+    sq += np.square(y)
+    shape = (4, height, width - SSIM_WINDOW + 1)
+    rows = stack.reshape(-1)[: math.prod(shape)].reshape(shape)
+    mu_x, mu_y, sigma_xy, sigma_sq = _window_means(stack, rows)
+    del stack, x, y, xy, sq, rows
+    # the score is formed in place, with one more plane, mu_xy
+    mu_xy = mu_x * mu_y
+    sigma_xy -= mu_xy
+    mu_x *= mu_x
+    mu_y *= mu_y
+    mu_x += mu_y  # mu_x^2 + mu_y^2
+    sigma_sq -= mu_x  # sigma_x^2 + sigma_y^2
     c1 = (SSIM_K1 * PEAK) ** 2
     c2 = (SSIM_K2 * PEAK) ** 2
-    return ((2.0 * mu_x * mu_y + c1) * (2.0 * sigma_xy + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (sigma_x + sigma_y + c2)
-    )
+    mu_xy *= 2.0
+    mu_xy += c1
+    sigma_xy *= 2.0
+    sigma_xy += c2
+    mu_x += c1
+    sigma_sq += c2
+    mu_xy *= sigma_xy
+    mu_x *= sigma_sq
+    mu_xy /= mu_x
+    return mu_xy
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:

@@ -362,7 +362,7 @@ class TestTiles:
     @pytest.mark.parametrize("kind", ["exhaustive", "diamond"])
     def test_analyze_frame_peaks_at_5_bytes_a_pixel(self, kind):
         # the frame-sized tables the search holds, 3 bytes a pixel, and the
-        # rest built a band or a tile at a time: 4.4 and 4.6 bytes a pixel
+        # rest built a band or a tile at a time: 4.0 and 4.6 bytes a pixel
         # (numpy 2.4), against 7.2 and 6.1 with whole-frame temporaries
         cur, ref = _clip("static_noise 2", 1280, 720)
         tracemalloc.start()
