@@ -3,7 +3,7 @@
 Machine-readable results (CSV, JSON) go to the requested output or stdout;
 anything meant for a human goes to stderr.  Every report's format is decided
 here: the library returns data, and the writers below print it.  Exit codes:
-0 success, 1 usage, 2 input/parse failure, 3 internal validation failure.
+0 success, 1 usage, 2 input/parse/allocation failure, 3 internal validation failure.
 """
 
 from __future__ import annotations
@@ -407,8 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except PlanValidationError as exc:
         print(f"gfstill: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (Y4mError, OSError, ValueError) as exc:
-        print(f"gfstill: {exc}", file=sys.stderr)
+    except (Y4mError, OSError, ValueError, MemoryError) as exc:
+        # one without a message, as a bare MemoryError, is named by its type
+        print(f"gfstill: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

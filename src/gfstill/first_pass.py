@@ -97,7 +97,7 @@ def pad_to_block_grid(samples: np.ndarray, block_size: int) -> np.ndarray:
 
 
 def motion_search(
-    cur: np.ndarray, ref: np.ndarray, cfg: SearchConfig | None = None
+    cur: np.ndarray, ref: np.ndarray, cfg: SearchConfig = SearchConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Search the reference for the best integer-pel match of every block.
 
@@ -117,7 +117,6 @@ def motion_search(
     """
     # compared before padding, which can bring two sizes to one grid
     check_pair(cur, ref, ("current", "reference"), 1)
-    cfg = cfg or SearchConfig()
     bs, r = cfg.block_size, cfg.search_range
     # C order keeps the reshapes below views and each gathered row contiguous
     cur_s, ref_s = (np.ascontiguousarray(pad_to_block_grid(f, bs)) for f in (cur, ref))
@@ -131,12 +130,7 @@ def motion_search(
     # so uint16 holds it
     sums = np.empty((h - half + 1, w - half + 1), np.uint16)
     for b, p in _bands(h, w, bs):
-        # a difference of two samples fits int16; its square, at most 255**2
-        # = 65025, wraps in int16, but its bits read as uint16 are exact
-        diff = np.subtract(cur_s[p], ref_s[p], dtype=np.int16)
-        diff *= diff
-        zero[b] = _block_sums(diff.view(np.uint16), bs)
-        del diff  # before the window sums' temporaries are built
+        zero[b] = _block_sums(_squared_diff(cur_s[p], ref_s[p]), bs)
         rows_in = ref_s[p.start : p.stop + half - 1]
         sums[p] = _window_sums(rows_in.astype(np.uint16), half)
 
@@ -191,9 +185,7 @@ def motion_search(
         chunk = max(1, SEARCH_TILE // (bs * bs))  # samples gathered at once
         for s in (np.s_[i : i + chunk] for i in range(0, blocks.size, chunk)):
             a, b = cur_blocks[blocks[s]], windows[y[s], x[s]]
-            diff = np.subtract(a, b, dtype=np.int16)
-            diff *= diff  # exact read as uint16, as for zero
-            sse[s] = diff.view(np.uint16).sum(axis=(1, 2), dtype=np.int32)
+            sse[s] = _squared_diff(a, b).sum(axis=(1, 2), dtype=np.int32)
         np.minimum.at(best, blocks, sse << shift | codes)
 
     def pick(blocks: np.ndarray, bounds: np.ndarray, codes: np.ndarray) -> None:
@@ -329,12 +321,23 @@ def motion_search(
     return mv, (best >> shift).reshape(rows, cols), zero
 
 
+def _squared_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a - b)**2 of two uint8 arrays of one shape, exact, as uint16.
+
+    A difference of two samples fits int16.  Its square, at most 255**2 =
+    65025, wraps in int16, but its bits read as uint16 are exact.  A 32x32
+    block of such squares, or of squared samples, sums to at most
+    32 * 32 * 65025 = 66,585,600 < 2**31, so int32 block sums are exact too.
+    """
+    diff = np.subtract(a, b, dtype=np.int16)
+    diff *= diff
+    return diff.view(np.uint16)
+
+
 def _block_sums(a: np.ndarray, size: int) -> np.ndarray:
-    """int32 sum of every size x size block of a C-contiguous array whose
-    sides are multiples of size.  A 32x32 block of squared samples sums to
-    at most 32 * 32 * 65025 < 2**31, so int32 is safe.
-    Summing rows then columns is about twice as fast as one sum over axes
-    (1, 3)."""
+    """int32 sum of every size x size block of a 2-D array whose sides are
+    multiples of size.  Summing rows then columns is about twice as fast as
+    one sum over axes (1, 3)."""
     col_sums = a.reshape(a.shape[0] // size, size, -1).sum(axis=1, dtype=np.int32)
     return col_sums.reshape(col_sums.shape[0], -1, size).sum(axis=2, dtype=np.int32)
 
@@ -361,7 +364,7 @@ def _window_sums(a: np.ndarray, size: int) -> np.ndarray:
 def analyze_frame(
     cur: np.ndarray,
     prev: np.ndarray,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig = SearchConfig(),
 ) -> FrameFirstPassStats:
     """Aggregate block statistics for one frame against its predecessor.
 
@@ -372,17 +375,14 @@ def analyze_frame(
     """
     # checked before padding, as motion_search checks, so the messages match
     check_pair(cur, prev, ("current", "reference"), 1)
-    cfg = cfg or SearchConfig()
     bs = cfg.block_size
     # each frame is padded once: motion_search leaves a padded pair as it is
     cur, prev = (pad_to_block_grid(f, bs) for f in (cur, prev))
     mv, best, zero = motion_search(cur, prev, cfg)
     total, total_sq = np.empty((2, *best.shape), np.int64)
     for b, p in _bands(*cur.shape, bs):
-        samples = cur[p].astype(np.int32, order="C")
-        total[b] = _block_sums(samples, bs)
-        samples *= samples  # a 32x32 block of squares stays below 2**31
-        total_sq[b] = _block_sums(samples, bs)
+        total[b] = _block_sums(cur[p], bs)
+        total_sq[b] = _block_sums(np.square(cur[p], dtype=np.uint16), bs)
     n = bs * bs
     # a block is inter when best_sse <= its intra proxy sum((x - mean)^2),
     # compared exactly as n * best_sse <= n * sum(x^2) - sum(x)^2; ties

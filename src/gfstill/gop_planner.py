@@ -352,8 +352,8 @@ def validate_plan(plan: GfGroupPlan) -> list[PlanViolation]:
 
 def plan_sequence(
     frames: Iterable[np.ndarray],
-    cfg: SearchConfig | None = None,
-    thresholds: StillnessThresholds | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    thresholds: StillnessThresholds = StillnessThresholds(),
     target_interval: int = MAX_GROUP_INTERVAL,
     key_interval: int | None = None,
 ) -> list[GroupPlanResult]:
@@ -369,7 +369,6 @@ def plan_sequence(
     pairs matched on a thread per CPU this process may run on; the result
     is the same on any number of CPUs.
     """
-    cfg = cfg or SearchConfig()
     target_interval, key_interval = check_intervals(target_interval, key_interval)
     frames = checked_frames(frames)
     first = next(frames, None)

@@ -20,6 +20,7 @@ from typing import IO, Iterable, Iterator, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .first_pass import _squared_diff
 from .parallel import cpus, ordered_map
 from .video_io import _opened, check_pair
 
@@ -67,11 +68,7 @@ _PAIR = ("reference", "distorted")
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; identical frames return the cap."""
     check_pair(a, b, _PAIR, 1)
-    # a difference of two samples fits int16; its square, at most 255**2 =
-    # 65025, wraps in int16, but its bits read as uint16 are exact
-    diff = np.subtract(a, b, dtype=np.int16)
-    diff *= diff
-    sse = int(diff.view(np.uint16).sum(dtype=np.int64))
+    sse = int(_squared_diff(a, b).sum(dtype=np.int64))
     if sse == 0:
         return PSNR_CAP_DB
     mse = sse / a.size

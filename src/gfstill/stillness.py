@@ -79,13 +79,12 @@ def compute_group_metrics(
 
 
 def classify_stillness(
-    metrics: GfGroupMetrics, thresholds: StillnessThresholds | None = None
+    metrics: GfGroupMetrics, thresholds: StillnessThresholds = StillnessThresholds()
 ) -> str:
     """Return "still" or "non-still".  All three comparisons are strict."""
-    t = thresholds or StillnessThresholds()
     still = (
-        metrics.zero_motion_accumulator > t.zero_motion_min
-        and metrics.avg_pixel_error < t.pixel_error_max
-        and metrics.avg_error_stdev < t.error_stdev_max
+        metrics.zero_motion_accumulator > thresholds.zero_motion_min
+        and metrics.avg_pixel_error < thresholds.pixel_error_max
+        and metrics.avg_error_stdev < thresholds.error_stdev_max
     )
     return STILL if still else NON_STILL

@@ -11,6 +11,7 @@ import pytest
 
 import gfstill
 
+from gfstill import cli
 from gfstill.cli import (
     MAX_HISTOGRAM_BINS,
     dump_group_metrics,
@@ -708,6 +709,46 @@ class TestOutputFile:
         assert captured.out == ""
         assert captured.err.startswith("gfstill: ") and captured.err.count("\n") == 1
         assert good.read_text() == "kept\n"
+
+
+class TestAllocationFailure:
+    """A MemoryError in any command is an input failure: exit 2, one stderr
+    line and no output file.  The failing call is patched in: a frame large
+    enough to fail for real takes gigabytes before numpy refuses it."""
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 71.1 TiB for an array"),
+         "gfstill: Unable to allocate 71.1 TiB for an array\n"),
+        (MemoryError(), "gfstill: MemoryError\n"),
+    ])
+    @pytest.mark.parametrize("command, name", [
+        ("synth", "generate"),
+        ("analyze", "plan_sequence"),
+        ("plan", "plan_sequence"),
+        ("quality", "sequence_quality"),
+        ("bdrate", "bd_rate"),
+    ])
+    def test_is_input_error(
+        self, command, name, exc, line, static_clip, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, fail)
+        out = tmp_path / "out"
+        curve = tmp_path / "rd.csv"
+        curve.write_text(RD_BASE)
+        argv = {
+            "synth": [str(out), "--kind", "static"],
+            "analyze": [static_clip, "-o", str(out)],
+            "plan": [static_clip, "-o", str(out)],
+            "quality": [static_clip, static_clip, "-o", str(out)],
+            "bdrate": [str(curve), str(curve)],
+        }[command]
+        assert run(command, *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line
+        assert not out.exists()
 
 
 class TestDump:

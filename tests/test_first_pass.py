@@ -167,6 +167,8 @@ def _frames(content, height, width, seed):
         frames = np.zeros((2, *shape), np.uint8)
         frames[rng.integers(2)] = 255
         return frames
+    if content == "white":
+        return np.full((2, *shape), 255, np.uint8)
     if content == "binary":
         # sparse 255s leave many windows with equal SSE: the tie-break decides
         density = rng.choice((0.5, 0.1, 0.02))
@@ -560,6 +562,13 @@ class TestFrameStats:
             ("extremes", 100, 70, 16, 8, "diamond"),
             ("shifted", 100, 70, 32, 1, "exhaustive"),
             ("pan 8", 1280, 720, 32, 8, "diamond"),
+            # all-255 blocks at block 32.  In "extremes" the reference is
+            # white, so every SSE is at its ceiling, 32 * 32 * 255**2.  In
+            # "white" both frames are, so every intra sum is at its ceiling
+            # and each block is inter only by a tie: n * sum(x^2) - sum(x)^2
+            # is exactly 0, as is its best SSE
+            ("extremes", 100, 70, 32, 8, "exhaustive"),
+            ("white", 100, 70, 32, 8, "exhaustive"),
         ],
     )
     def test_stats_recomputable_from_whole_frame_sums(
@@ -668,6 +677,25 @@ class TestMetamorphic:
         ):
             assert np.array_equal(got, want)
         assert analyze_frame(lit_cur, lit_ref, cfg) == analyze_frame(cur, ref, cfg)
+
+
+class TestSquaredDiff:
+    def test_every_byte_pair(self):
+        a, b = np.divmod(np.arange(2**16), 256)
+        got = first_pass._squared_diff(a.astype(np.uint8), b.astype(np.uint8))
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, (a - b) ** 2)
+
+    def test_gathered_blocks_and_windows(self, rng):
+        # as the scorer passes them: blocks and windows fancy-indexed out of
+        # two frames
+        cur, ref = random_plane(rng, 64, 48), random_plane(rng, 64, 48)
+        blocks = cur.reshape(6, 8, 8, 8).swapaxes(1, 2).reshape(-1, 8, 8)
+        windows = np.lib.stride_tricks.sliding_window_view(ref, (8, 8))
+        k, y, x = (rng.integers(0, n, 50) for n in (48, 41, 57))
+        a, b = blocks[k], windows[y, x]
+        want = (a.astype(np.int64) - b) ** 2
+        assert np.array_equal(first_pass._squared_diff(a, b), want)
 
 
 class TestSearchConfig:
